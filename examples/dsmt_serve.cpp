@@ -3,7 +3,7 @@
 //
 // Batch mode (default): reads a JSON batch (a bare array of request
 // objects, or {"requests": [...]}), serves it through admission control /
-// retry / breaker / degradation ladder, and prints one JSON document:
+// solve cache / breaker / degradation ladder, and prints one JSON document:
 //
 //   {"responses": [...one structured response per request, in order...],
 //    "service":   {...admission counters, cache, breaker transitions...}}
@@ -21,6 +21,8 @@
 // front end answers it "worker-crashed", restarts the slot, and keeps
 // serving; a request that crashes two workers is quarantined. --crash-faults
 // arms the chaos harness IN THE CHILDREN ONLY (see numeric/fault_injection).
+// The solve cache (--cache-dir) is in-process only: the parent never solves,
+// and children must not share a segment file.
 //
 // Exit-code contract (also printed by --help):
 //   0  batch: every request got a terminal response (shed and degraded
@@ -32,8 +34,9 @@
 //      responses, never as a nonzero front-end exit
 //   1  --strict violation: a terminal failure response (batch) or a forced
 //      drain (socket)
-//   2  usage, batch-parse, or socket-setup errors (--isolate with --batch,
-//      unknown --crash-faults kind, or a failed initial worker fork)
+//   2  usage, batch-parse, or socket-setup errors (--isolate with --batch
+//      or with --cache-dir, unknown --crash-faults kind, or a failed initial
+//      worker fork)
 //
 // With fault injection disarmed, batch output is bit-identical for every
 // DSMT_THREADS value, and so is each connection's reply byte stream in
@@ -47,7 +50,6 @@
 #include <string>
 #include <vector>
 
-#include "cache/warm.h"
 #include "net/server.h"
 #include "numeric/fault_injection.h"
 #include "service/server.h"
@@ -68,12 +70,12 @@ int usage(bool to_stdout = false) {
       to_stdout ? stdout : stderr,
       "usage: dsmt_serve [--batch file.json|-] [--listen SOCKET_PATH]\n"
       "                  [--tcp PORT] [--queue N] [--deadline-ms M]\n"
-      "                  [--max-attempts N] [--breaker-threshold K]\n"
+      "                  [--breaker-threshold K]\n"
       "                  [--max-connections N] [--max-inflight N]\n"
       "                  [--tick-ms M] [--idle-ticks N] [--drain-ticks N]\n"
       "                  [--isolate] [--workers N] [--rlimit-as-mb N]\n"
       "                  [--rlimit-cpu-s N] [--crash-faults KIND[:SUBSTR]]\n"
-      "                  [--cache-dir DIR] [--warm-cache]\n"
+      "                  [--cache-dir DIR]\n"
       "                  [--indent N] [--strict] [--help]\n"
       "\n"
       "Batch mode (default; --batch - reads stdin) serves one JSON batch\n"
@@ -91,17 +93,18 @@ int usage(bool to_stdout = false) {
       "\n"
       "--cache-dir DIR persists the content-addressed solve cache as an\n"
       "append-only checksummed segment (DIR/solve.dsc), recovered and\n"
-      "repaired at startup; --warm-cache pre-solves the hot lattice into\n"
-      "it. Every hit is checksum-verified and replies stay byte-identical\n"
-      "to cold solves; corrupt entries are quarantined, never served.\n"
-      "Works with and without --isolate (the parent shares the cache).\n"
+      "repaired at startup. Every hit is checksum-verified and replies\n"
+      "stay byte-identical to cold solves; corrupt entries are\n"
+      "quarantined, never served. The cache is in-process only:\n"
+      "--cache-dir with --isolate is refused.\n"
       "\n"
       "exit codes:\n"
       "  0  served: every request answered (batch) / clean drain (socket);\n"
       "     worker crashes under --isolate never change the exit code\n"
       "  1  --strict violation: terminal failure response or forced drain\n"
       "  2  usage, batch-parse, or socket-setup error (--isolate with\n"
-      "     --batch, bad --crash-faults kind, failed initial worker fork)\n");
+      "     --batch or --cache-dir, bad --crash-faults kind, failed initial\n"
+      "     worker fork)\n");
   return to_stdout ? 0 : 2;
 }
 
@@ -235,7 +238,6 @@ int main(int argc, char** argv) {
   std::map<std::string, std::string> opts;
   bool strict = false;
   bool isolate = false;
-  bool warm = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") return usage(/*to_stdout=*/true);
@@ -247,12 +249,13 @@ int main(int argc, char** argv) {
       isolate = true;
       continue;
     }
-    if (arg == "--warm-cache") {
-      warm = true;
-      continue;
-    }
     if (std::strncmp(argv[i], "--", 2) != 0 || i + 1 >= argc) return usage();
     opts[arg.substr(2)] = argv[++i];
+  }
+  if (isolate && opts.count("cache-dir")) {
+    print_error("--cache-dir is in-process only and cannot be combined "
+                "with --isolate");
+    return usage();
   }
 
   try {
@@ -264,28 +267,16 @@ int main(int argc, char** argv) {
       config.deadline_ns =
           static_cast<std::uint64_t>(std::stoull(opts["deadline-ms"])) *
           1000000ULL;
-    if (opts.count("max-attempts"))
-      config.retry.max_attempts = std::stoi(opts["max-attempts"]);
     if (opts.count("breaker-threshold"))
       config.breaker.failure_threshold = std::stoi(opts["breaker-threshold"]);
     const int indent = opts.count("indent") ? std::stoi(opts["indent"]) : 2;
 
-    // Content-addressed solve cache: --cache-dir makes it durable (the
-    // segment file is recovered/repaired here, before any server thread
-    // exists), --warm-cache alone gives a memory-only warm cache.
-    std::shared_ptr<cache::SolveCache> solve_cache;
-    if (opts.count("cache-dir") || warm) {
+    // Durable content-addressed solve cache: the segment file is
+    // recovered/repaired here, before any server thread exists.
+    if (opts.count("cache-dir")) {
       cache::SolveCacheConfig cache_config;
-      if (opts.count("cache-dir")) cache_config.dir = opts["cache-dir"];
-      solve_cache = std::make_shared<cache::SolveCache>(cache_config);
-      if (warm) {
-        const cache::WarmReport report = cache::warm_hot_lattice(*solve_cache);
-        std::fprintf(stderr,
-                     "dsmt_serve: warm cache: %zu lattice points, %zu "
-                     "solved, %zu cached\n",
-                     report.requested, report.solved, report.inserted);
-      }
-      config.solve_cache = solve_cache;
+      cache_config.dir = opts["cache-dir"];
+      config.solve_cache = std::make_shared<cache::SolveCache>(cache_config);
     }
 
     const bool socket_mode = opts.count("listen") > 0 || opts.count("tcp") > 0;
@@ -332,9 +323,6 @@ int main(int argc, char** argv) {
 
     supervise::SuperviseConfig sup;
     sup.service = config;  // the CHILD-side service configuration
-    // The parent serves verified hits itself; the WorkerPool constructor
-    // strips service.solve_cache so children never inherit the cache.
-    sup.solve_cache = solve_cache;
     if (opts.count("workers"))
       sup.workers = static_cast<std::size_t>(std::stoul(opts["workers"]));
     if (opts.count("rlimit-as-mb"))

@@ -47,16 +47,38 @@ double get_double_be(const unsigned char* p) {
   return std::bit_cast<double>(get_u64_be(p));
 }
 
-/// Keys are canonical request JSON — kilobytes at the most. Anything
-/// larger in a decoded header is corruption, not data.
+/// Length-prefixed, so no string can run into the field after it.
+void put_string(std::string& out, const std::string& s) {
+  put_u32_be(out, static_cast<std::uint32_t>(s.size()));
+  out.append(s);
+}
+
+/// Keys are a few dozen bytes plus the request's strings. Anything larger
+/// in a decoded header is corruption, not data.
 constexpr std::uint32_t kMaxKeyBytes = 1u << 20;
 
 }  // namespace
 
 std::string canonical_key(const service::Request& request) {
-  service::Request canonical = request;
-  canonical.id.clear();
-  return service::request_to_json(canonical).dump(-1);
+  // The fields request_to_json writes for the request's kind, minus the
+  // id, each double as its exact bit pattern.
+  std::string key;
+  put_string(key, service::kind_name(request.kind));
+  put_double_be(key, request.duty_cycle);
+  put_double_be(key, request.j0_MA_cm2);
+  put_double_be(key, request.t_ref_c);
+  if (request.kind == service::RequestKind::kTableCell) {
+    put_string(key, request.technology);
+    put_u32_be(key, static_cast<std::uint32_t>(request.level));
+    put_string(key, request.dielectric);
+  } else {
+    put_string(key, request.wire.metal);
+    put_double_be(key, request.wire.width_um);
+    put_double_be(key, request.wire.thickness_um);
+    put_double_be(key, request.wire.dielectric_um);
+    put_double_be(key, request.wire.k_dielectric);
+  }
+  return key;
 }
 
 bool canonical_solve(const selfconsistent::Solution& solution) {

@@ -8,12 +8,14 @@
 // whose diag chain is the single synthesized "numeric/brent" event
 // (selfconsistent/batch.cpp). Recovered or degraded solves carry history a
 // fixed-width payload cannot round-trip, and caching them would make a
-// warm reply differ from a clean cold one; they simply stay uncached.
+// cached reply differ from a clean cold one; they simply stay uncached.
 //
 // The wire payload is fixed-layout big-endian (the supervise protocol's
 // convention): key length + key bytes + six IEEE-754 bit patterns + the
 // iteration count. Doubles travel as u64 bit patterns, never through text,
-// so a decode(encode(x)) round trip is the identity on every lane.
+// so a decode(encode(x)) round trip is the identity on every lane. The key
+// writes the request's doubles the same way, so two requests share a key
+// only when every input bit agrees.
 #pragma once
 
 #include <cstdint>
@@ -35,10 +37,13 @@ struct CachedSolve {
   int iterations = 0;
 };
 
-/// Content-address of a request: the strict-JSON canonical form with the
-/// client-chosen id cleared, so retries and distinct clients asking the
-/// same physics share one entry. The supervise quarantine hash keys the
-/// same form: a poison payload stays one quarantine entry whatever id it
+/// Content-address of a request, as binary bytes: the kind name, then the
+/// fields request_to_json writes for that kind in its order, without the
+/// client-chosen id. Doubles are big-endian IEEE-754 bit patterns,
+/// strings are u32 length + bytes, the table level a u32. Distinct
+/// clients asking the same physics share one entry; requests that differ
+/// in any bit of any input do not. The supervise quarantine hash keys the
+/// same bytes: a poison payload stays one quarantine entry whatever id it
 /// is re-sent under.
 std::string canonical_key(const service::Request& request);
 

@@ -43,8 +43,10 @@ std::uint64_t get_u64_be(const unsigned char* p) {
 }  // namespace
 
 const char* const kPhysicsSchema =
-    "dsmt eq13/solve v1: quasi-2D ladder, brent(tol=machine) + "
-    "expand/bisect recovery, SI doubles, canonical single-event diag";
+    "dsmt eq13/solve v2: quasi-2D ladder, brent(tol=machine) + "
+    "expand/bisect recovery, SI doubles, canonical single-event diag; "
+    "keys: kind + request fields, doubles as IEEE-754 bits, "
+    "length-prefixed strings";
 
 std::uint64_t default_schema_stamp() { return fnv1a(kPhysicsSchema); }
 

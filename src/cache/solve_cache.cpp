@@ -1,11 +1,9 @@
 #include "cache/solve_cache.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "cache/fnv.h"
-#include "core/run_context.h"
 
 namespace dsmt::cache {
 
@@ -115,39 +113,6 @@ bool SolveCache::lookup(const std::string& key, CachedSolve& out) {
   return false;
 }
 
-Acquire SolveCache::acquire(const std::string& key, CachedSolve& out) {
-  Shard& shard = shard_for(key);
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::nanoseconds(config_.wait_budget_ns);
-  const auto park = std::chrono::milliseconds(
-      config_.poll_interval_ms > 0 ? config_.poll_interval_ms : 10);
-  bool parked = false;
-  MutexLock lock(shard.mu);
-  for (;;) {
-    if (verified_get(shard, key, out)) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      if (parked) coalesced_.fetch_add(1, std::memory_order_relaxed);
-      return Acquire::kHit;
-    }
-    if (shard.flights.insert(key).second) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      return Acquire::kLead;
-    }
-    // Another thread is already solving this key. Park deadline-aware:
-    // an interruption (drain cancel, ambient deadline) or an exhausted
-    // wait budget dissolves the wait into an independent solve — the
-    // caller still gets an answer, just not a coalesced one.
-    if (core::run_check() != core::StatusCode::kOk ||
-        std::chrono::steady_clock::now() >= deadline) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      return Acquire::kSolve;
-    }
-    parked = true;
-    shard.published.wait_for(shard.mu, park);
-  }
-}
-
 void SolveCache::publish(const std::string& key, const CachedSolve& value) {
   const std::string payload = encode_payload(key, value);
   Entry entry;
@@ -157,9 +122,7 @@ void SolveCache::publish(const std::string& key, const CachedSolve& value) {
   {
     Shard& shard = shard_for(key);
     MutexLock lock(shard.mu);
-    shard.flights.erase(key);
     newly_inserted = install(shard, key, std::move(entry));
-    shard.published.notify_all();
   }
   if (!newly_inserted) return;  // already durable (or a duplicate racer)
   // Shard lock released before the level-1 segment lock: the fsync'd
@@ -168,17 +131,10 @@ void SolveCache::publish(const std::string& key, const CachedSolve& value) {
   if (log_ != nullptr) log_->append(encode_record(payload, schema_stamp_));
 }
 
-void SolveCache::abandon(const std::string& key) {
-  Shard& shard = shard_for(key);
-  MutexLock lock(shard.mu);
-  if (shard.flights.erase(key) > 0) shard.published.notify_all();
-}
-
 CacheStats SolveCache::stats() const {
   CacheStats s;
   s.hits = hits_.load(std::memory_order_relaxed);
   s.misses = misses_.load(std::memory_order_relaxed);
-  s.coalesced = coalesced_.load(std::memory_order_relaxed);
   s.inserts = inserts_.load(std::memory_order_relaxed);
   s.evictions = evictions_.load(std::memory_order_relaxed);
   s.corrupt_quarantined =
@@ -198,7 +154,6 @@ report::Json SolveCache::cache_json() const {
   Json out = Json::object();
   out.set("hits", Json::integer(static_cast<long long>(s.hits)))
       .set("misses", Json::integer(static_cast<long long>(s.misses)))
-      .set("coalesced", Json::integer(static_cast<long long>(s.coalesced)))
       .set("inserts", Json::integer(static_cast<long long>(s.inserts)))
       .set("evictions", Json::integer(static_cast<long long>(s.evictions)))
       .set("corrupt_quarantined",

@@ -1,19 +1,15 @@
-// Content-addressed solve cache: sharded, single-flight, durable.
+// Content-addressed solve cache: sharded and durable.
 //
 // The map is deterministically sharded — shard = fnv1a(key) % shards, a
 // pure function of the canonical request — so which lock a request takes
 // never depends on thread count or arrival order, and replies stay
 // byte-identical at every DSMT_THREADS (a hit and a miss produce the same
-// bytes by construction; the shard layout only decides who waits on whom).
+// bytes by construction).
 //
-// Single-flight: the first thread to miss on a key becomes its LEADER and
-// solves; concurrent threads asking the same key park on the shard's
-// condition variable instead of duplicating the solve, waking when the
-// leader publishes (a hit) or abandons (the earliest waiter is promoted to
-// solve). Parks are deadline-aware: waiters poll core::run_check() every
-// poll_interval_ms and give up into an independent solve when their budget
-// is gone — a stampede cannot starve the pool, and a wedged leader cannot
-// wedge its waiters past wait_budget_ns.
+// The cache never waits on a solve: lookup() answers from what is resident
+// and publish() installs a finished one. Two concurrent misses on one key
+// both solve; their values are identical, the first install wins, and the
+// second publish appends nothing.
 //
 // Integrity: entries are stored as encoded payload bytes plus their FNV-1a
 // digest, and EVERY hit re-verifies the digest and re-decodes before
@@ -23,8 +19,8 @@
 // (cache/segment.h) replayed at construction under the recovery policy
 // documented there.
 //
-// Lock hierarchy (DESIGN.md §7): shard mutexes are LEVEL 0 — held across
-// waits but never across I/O or callbacks; the segment append mutex is
+// Lock hierarchy (DESIGN.md §7): shard mutexes are LEVEL 0 leaf locks —
+// never held across a wait, I/O or a callback; the segment append mutex is
 // LEVEL 1 — held across the fsync'd append, never while holding a shard
 // lock (publish releases the shard before appending).
 #pragma once
@@ -34,7 +30,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -54,18 +49,12 @@ struct SolveCacheConfig {
   std::size_t max_entries = 65536;
   /// Physics-schema stamp for segment records; 0 = default_schema_stamp().
   std::uint64_t schema_stamp = 0;
-  /// Waiter park granularity [ms]: cancellation/deadline observation lag.
-  int poll_interval_ms = 10;
-  /// Max time a waiter coalesces behind a leader before solving on its
-  /// own [ns]. A backstop, not a deadline — ambient RunContext still wins.
-  std::uint64_t wait_budget_ns = 2'000'000'000;
 };
 
 /// Monotonic counters since construction (snapshot).
 struct CacheStats {
   std::uint64_t hits = 0;        ///< verified entries served
-  std::uint64_t misses = 0;      ///< lookups that led or solved
-  std::uint64_t coalesced = 0;   ///< hits served after parking on a flight
+  std::uint64_t misses = 0;      ///< lookups that found no verified entry
   std::uint64_t inserts = 0;     ///< entries published
   std::uint64_t evictions = 0;   ///< FIFO capacity evictions
   /// Entries never served because their checksum or structure failed —
@@ -80,10 +69,6 @@ struct CacheStats {
   bool refused_stamp = false;         ///< segment refused: schema mismatch
 };
 
-/// acquire() outcome: serve the hit, lead the solve, or solve without a
-/// flight (interrupted or budget-expired waiter).
-enum class Acquire { kHit, kLead, kSolve };
-
 class SolveCache {
  public:
   explicit SolveCache(SolveCacheConfig config);
@@ -91,22 +76,13 @@ class SolveCache {
   SolveCache(const SolveCache&) = delete;
   SolveCache& operator=(const SolveCache&) = delete;
 
-  /// Plain verified lookup — no flight, no parking. For callers that must
-  /// never block on another request's solve (the supervise parent).
+  /// Verified lookup: true with `out` set on a hit. A resident entry that
+  /// fails verification is quarantined and reads as a miss.
   bool lookup(const std::string& key, CachedSolve& out);
 
-  /// Single-flight lookup. kHit: `out` is valid. kLead: the caller MUST
-  /// later publish() or abandon() this key (FlightLease automates it).
-  /// kSolve: solve independently, publishing is welcome but optional.
-  Acquire acquire(const std::string& key, CachedSolve& out);
-
-  /// Installs (key, value), wakes the key's waiters, appends to the
-  /// segment. Callable by leaders and independent solvers alike.
+  /// Installs (key, value) and appends it to the segment. A key already
+  /// resident keeps its entry and appends nothing.
   void publish(const std::string& key, const CachedSolve& value);
-
-  /// Releases a led flight without a value; the earliest waiter is
-  /// promoted to leader (or all dissolve to independent solves).
-  void abandon(const std::string& key);
 
   CacheStats stats() const;
   /// The "cache.solve" observability section (ping + sign-off).
@@ -120,13 +96,11 @@ class SolveCache {
   };
   struct Shard {
     mutable Mutex mu;
-    CondVar published;  ///< signalled on publish/abandon in this shard
     std::map<std::string, Entry> entries DSMT_GUARDED_BY(mu);
     /// FIFO eviction order: keys in insert order, head index advances on
     /// eviction, compacted periodically.
     std::vector<std::string> order DSMT_GUARDED_BY(mu);
     std::size_t evict_head DSMT_GUARDED_BY(mu) = 0;
-    std::set<std::string> flights DSMT_GUARDED_BY(mu);
   };
 
   Shard& shard_for(const std::string& key);
@@ -149,7 +123,6 @@ class SolveCache {
   // lock-free by stats().
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> coalesced_{0};
   std::atomic<std::uint64_t> inserts_{0};
   std::atomic<std::uint64_t> evictions_{0};
   std::atomic<std::uint64_t> corrupt_quarantined_{0};
@@ -164,30 +137,6 @@ class SolveCache {
   /// holding a shard lock.
   Mutex segment_mu_;
   std::unique_ptr<core::AppendLog> log_ DSMT_GUARDED_BY(segment_mu_);
-};
-
-/// RAII companion for acquire() == kLead: abandons the flight on every
-/// exit path unless the leader published (publish() then dismiss()).
-class FlightLease {
- public:
-  FlightLease() = default;
-  ~FlightLease() {
-    if (cache_ != nullptr) cache_->abandon(key_);
-  }
-  FlightLease(const FlightLease&) = delete;
-  FlightLease& operator=(const FlightLease&) = delete;
-
-  void arm(SolveCache* cache, std::string key) {
-    cache_ = cache;
-    key_ = std::move(key);
-  }
-  void dismiss() { cache_ = nullptr; }
-  bool armed() const { return cache_ != nullptr; }
-
- private:
-  SolveCache* cache_ = nullptr;
-  // R10-ok: single-owner RAII handle, never shared across threads.
-  std::string key_;
 };
 
 }  // namespace dsmt::cache

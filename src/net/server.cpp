@@ -364,8 +364,7 @@ std::string Server::ping_reply_frame(const report::Json& doc) {
                shared_->outstanding.load(std::memory_order_acquire))))
       .set("breaker", std::move(breaker_json))
       .set("degradation", std::move(degradation));
-  // Solve-cache health: one section whether the cache serves the
-  // in-process service or the --isolate parent (the handle is shared).
+  // Solve-cache health, when the in-process service has a cache.
   if (config_.service.solve_cache != nullptr)
     root.set("cache", config_.service.solve_cache->cache_json());
   if (config_.health_source) root.set("supervise", config_.health_source());
@@ -465,8 +464,7 @@ void Server::dispatch_request(Connection& conn, std::uint64_t seq,
         frame = config_.frame_handler(request,
                                       static_cast<std::uint64_t>(seq));
       } else {
-        const service::Response response =
-            service_.handle(request, static_cast<std::size_t>(seq));
+        const service::Response response = service_.handle(request);
         frame = encode_frame(service::response_to_json(response).dump(-1));
       }
     } catch (const std::bad_alloc&) {

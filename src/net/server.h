@@ -9,7 +9,7 @@
 //   accept / admission control           install RunContext (merged budget:
 //   parse frames, assign seqs            request deadline ∩ eviction budget,
 //   inline replies (ping, errors)        drain cancel token)
-//   dispatch solve requests ───────►     service::Server::handle(req, seq)
+//   dispatch solve requests ───────►     service::Server::handle(req)
 //   apply completion queue ◄───────      push reply frame, wake self-pipe
 //   flush outbound, reap, drain
 //

@@ -1,7 +1,7 @@
 // The degradation ladder: how a solve or an analytic bound becomes a reply.
 //
-// When the full Eq. 13 solve is unavailable — the kernel is failing, its
-// breaker is open, or retries are exhausted — the service still answers
+// When the full Eq. 13 solve is unavailable — the request's one solve
+// failed or the kernel's breaker is open — the service still answers
 // from rung 2, which is *conservative for j_rms* (and therefore for T_m,
 // which rises monotonically with j_rms):
 //
@@ -19,8 +19,8 @@
 //
 // answer_full() and answer_bound() are the only code that turns a rung's
 // result into Response fields: the in-process service, its cache-hit path,
-// and the supervise parent's cache-hit and quarantine paths all call them,
-// so every path answers with the same bytes.
+// and the supervise parent's quarantine path all call them, so every path
+// answers with the same bytes.
 //
 // Full derivations: docs/THEORY.md section 15.
 #pragma once

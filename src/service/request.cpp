@@ -153,11 +153,10 @@ report::Json response_to_json(const Response& resp) {
       .set("degradation_level",
            Json::integer(static_cast<long long>(resp.degradation_level)))
       .set("conservative", Json::boolean(resp.conservative))
-      .set("attempts", Json::integer(resp.attempts));
-  Json backoffs = Json::array();
-  for (const std::uint64_t b : resp.backoff_ns)
-    backoffs.push(Json::integer(static_cast<long long>(b)));
-  node.set("backoff_ns", std::move(backoffs));
+      .set("attempts", Json::integer(resp.attempts))
+      // Always empty (requests are never retried); kept so replies keep
+      // their shape for existing clients.
+      .set("backoff_ns", Json::array());
   if (resp.ok()) {
     Json sol = Json::object();
     sol.set("t_metal_c", Json::number(resp.t_metal_c))

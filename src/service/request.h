@@ -11,7 +11,7 @@
 // Every response is terminal and structured: success (possibly degraded,
 // with `degradation_level` and a conservative-direction guarantee on j_rms),
 // kRejectedOverload from admission control, or a classified failure. The
-// full SolverDiag chain (attempts, retries, breaker events, degradation
+// full SolverDiag chain (the solve attempt, breaker events, degradation
 // rungs) rides along for diagnostics.
 #pragma once
 
@@ -85,9 +85,8 @@ struct Response {
   double j_avg_MA_cm2 = 0.0;     ///< allowed average density [MA/cm^2]
   double jpeak_em_only_MA_cm2 = 0.0;  ///< kDutyCyclePoint: j0 / r [MA/cm^2]
 
-  int attempts = 0;  ///< full-solve attempts (0 = breaker short-circuited)
-  std::vector<std::uint64_t> backoff_ns;  ///< retry schedule applied [ns]
-  core::SolverDiag diag;  ///< attempts, retries, breaker, degradation
+  int attempts = 0;  ///< full solves run: 1, or 0 (breaker short-circuited)
+  core::SolverDiag diag;  ///< solve attempt, breaker, degradation
   std::string error;      ///< summary when status != kOk
 
   bool ok() const { return status == core::StatusCode::kOk; }

@@ -1,28 +1,14 @@
 #include "service/retry.h"
 
 #include <algorithm>
-#include <cmath>
-
-#include "cache/fnv.h"
 
 namespace dsmt::service {
-
-bool retryable(core::StatusCode status) {
-  return status == core::StatusCode::kNonFinite ||
-         status == core::StatusCode::kMaxIterations;
-}
 
 std::uint64_t mix64(std::uint64_t z) {
   z += 0x9e3779b97f4a7c15ULL;
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
-}
-
-std::uint64_t request_key(const std::string& id, std::size_t index) {
-  // Standard-basis FNV-1a from the shared primitive (cache/fnv.h), mixed
-  // with the index. Bitwise-identical to the historical inline loop.
-  return mix64(cache::fnv1a(id) ^ static_cast<std::uint64_t>(index));
 }
 
 std::uint64_t backoff_ns(const RetryPolicy& policy, std::uint64_t key,
@@ -37,7 +23,7 @@ std::uint64_t backoff_ns(const RetryPolicy& policy, std::uint64_t key,
   ramp = std::min(ramp, cap);
 
   // Seeded jitter in [1 - jitter, 1 + jitter]: one splitmix64 draw keyed on
-  // (seed, request key, attempt). The 53 high bits give a uniform double in
+  // (seed, key, attempt). The 53 high bits give a uniform double in
   // [0, 1) exactly as the Monte-Carlo generator does.
   const std::uint64_t draw =
       mix64(policy.seed ^ mix64(key ^ static_cast<std::uint64_t>(attempt)));

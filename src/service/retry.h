@@ -1,26 +1,19 @@
-// Deterministic retry with exponential backoff and seeded jitter.
+// Deterministic exponential backoff with seeded jitter.
 //
-// The service retries full solves whose failure mode is plausibly transient
-// (kNonFinite, kMaxIterations — the two modes the fault injector produces
-// and the recovery wrappers sometimes cannot absorb). The backoff schedule
-// is a pure function of (policy, request key, attempt): splitmix64 jitter
-// keyed on the request, never a wall clock or a shared RNG, so the schedule
-// a request receives is bitwise reproducible across runs and thread counts.
-// Sleeping on the schedule is the server's (optional) concern; the policy
-// layer only computes it.
+// supervise::WorkerPool paces the reforks of a crashing worker slot with
+// this schedule. It is a pure function of (policy, key, attempt):
+// splitmix64 jitter keyed on the caller's key, never a wall clock or a
+// shared RNG, so a schedule is bitwise reproducible across runs and thread
+// counts. Sleeping on the schedule is the caller's concern; this layer only
+// computes it.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <string>
-
-#include "core/status.h"
 
 namespace dsmt::service {
 
-/// Retry policy for the full-solve rung of the service ladder.
+/// Backoff schedule parameters.
 struct RetryPolicy {
-  int max_attempts = 3;  ///< total attempts, including the first [1]
   std::uint64_t base_backoff_ns = 1000000;    ///< schedule base (1 ms) [ns]
   double multiplier = 2.0;                    ///< exponential growth [1]
   std::uint64_t max_backoff_ns = 1000000000;  ///< schedule cap (1 s) [ns]
@@ -28,22 +21,12 @@ struct RetryPolicy {
   std::uint64_t seed = 0x646d7374;  ///< jitter stream seed ("dsmt")
 };
 
-/// True for failure modes a retry can plausibly fix (transient numeric
-/// trouble). Structural failures (bad input, no bracket, singular system)
-/// and run interruptions (deadline, cancel) are not retryable: burning the
-/// remaining budget on them cannot help.
-bool retryable(core::StatusCode status);
-
 /// splitmix64 finalizer — the same mixer as the Monte-Carlo counter RNG
 /// (core/variation.cpp), chosen for platform-independent bit behavior.
 std::uint64_t mix64(std::uint64_t z);
 
-/// Stable request key: FNV-1a over the request id, folded with the batch
-/// index so two requests with the same id still draw distinct jitter.
-std::uint64_t request_key(const std::string& id, std::size_t index);
-
 /// Backoff [ns] scheduled after failed attempt `attempt` (1-based) of the
-/// request identified by `key`. Pure function of its arguments; the
+/// work identified by `key`. Pure function of its arguments; the
 /// exponential ramp is computed by repeated multiplication (no pow()) so
 /// the result is bit-stable everywhere.
 std::uint64_t backoff_ns(const RetryPolicy& policy, std::uint64_t key,

@@ -5,7 +5,6 @@
 #include <new>
 #include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "core/run_context.h"
@@ -21,8 +20,9 @@ namespace {
 /// path; the analytic rung below it is closed-form.
 constexpr const char* kSolveKernel = "eq13/solve";
 
-}  // namespace
-
+/// The reply a clean solve of `request` gets, rebuilt from a verified
+/// solve-cache hit: byte for byte the cold reply. `ladder` must be
+/// build_problem(request).
 Response replay_hit(const Request& request, const LadderProblem& ladder,
                     const cache::CachedSolve& hit) {
   Response resp;
@@ -32,6 +32,8 @@ Response replay_hit(const Request& request, const LadderProblem& ladder,
   answer_full(resp, request, ladder, cache::to_solution(hit));
   return resp;
 }
+
+}  // namespace
 
 Server::Server(ServerConfig config)
     : config_(std::move(config)),
@@ -83,7 +85,7 @@ std::vector<Response> Server::submit_batch(
   try {
     parallel::parallel_for(admitted.size(), [&](std::size_t k) {
       const std::size_t i = admitted[k];
-      out[i] = guarded_execute(batch[i], i);
+      out[i] = guarded_execute(batch[i]);
       served[i] = 1;
     });
   } catch (const SolveError& interruption) {
@@ -105,15 +107,15 @@ std::vector<Response> Server::submit_batch(
   return out;
 }
 
-Response Server::handle(const Request& request, std::size_t index) {
+Response Server::handle(const Request& request, std::size_t /*index*/) {
   ++received_;
   ++admitted_;
-  return guarded_execute(request, index);
+  return guarded_execute(request);
 }
 
-Response Server::guarded_execute(const Request& request, std::size_t index) {
+Response Server::guarded_execute(const Request& request) {
   try {
-    return execute(request, index);
+    return execute(request);
   } catch (const SolveError& e) {
     Response resp;
     resp.id = request.id;
@@ -150,7 +152,7 @@ Response Server::guarded_execute(const Request& request, std::size_t index) {
   }
 }
 
-Response Server::execute(const Request& request, std::size_t index) {
+Response Server::execute(const Request& request) {
   Response resp;
   resp.id = request.id;
   resp.kind = request.kind;
@@ -192,83 +194,46 @@ Response Server::execute(const Request& request, std::size_t index) {
     }
   }
 
-  // Cache rung: sits above rung 0, inside the deadline scope so a parked
-  // waiter observes the same budget the solve would. A verified hit
-  // replays the cold path's exact reply bytes (replay_hit); a miss either
-  // leads the single flight (publishing on success, abandoning on every
-  // other exit via the lease) or solves independently.
+  // One cache lookup. A verified hit replays the cold path's exact reply
+  // bytes; a miss solves below and publishes what it solved.
   cache::SolveCache* const solve_cache = config_.solve_cache.get();
   std::string cache_key;
-  cache::FlightLease flight;
   if (solve_cache != nullptr) {
     cache_key = cache::canonical_key(request);
     cache::CachedSolve hit;
-    switch (solve_cache->acquire(cache_key, hit)) {
-      case cache::Acquire::kHit:
-        ++ok_full_;
-        return replay_hit(request, ladder, hit);
-      case cache::Acquire::kLead:
-        flight.arm(solve_cache, cache_key);
-        break;
-      case cache::Acquire::kSolve:
-        break;
+    if (solve_cache->lookup(cache_key, hit)) {
+      ++ok_full_;
+      return replay_hit(request, ladder, hit);
     }
   }
 
-  // Rung 0: the full quasi-2D solve, behind the breaker, with retries.
+  // Rung 0: one full quasi-2D solve, behind the breaker.
   bool solved = false;
   selfconsistent::Solution solution;
-  core::StatusCode last_failure = core::StatusCode::kBreakerOpen;
+  core::StatusCode failure = core::StatusCode::kBreakerOpen;
   if (breaker_.allow()) {
-    const std::uint64_t key = request_key(request.id, index);
-    const int max_attempts =
-        config_.retry.max_attempts > 0 ? config_.retry.max_attempts : 1;
-    for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-      ++resp.attempts;
-      try {
-        solution = selfconsistent::solve_one(ladder.full);
-        solved = true;
-        break;
-      } catch (const SolveError& e) {
-        last_failure = e.status();
-        resp.diag.absorb(e.diag(),
-                         "service/attempt " + std::to_string(attempt));
-        if (!retryable(last_failure) || attempt == max_attempts) break;
-        const std::uint64_t pause = backoff_ns(config_.retry, key, attempt);
-        resp.backoff_ns.push_back(pause);
-        ++retries_;
-        resp.diag.record("service/retry", last_failure, attempt, 0.0,
-                         "attempt " + std::to_string(attempt) + " failed (" +
-                             core::status_name(last_failure) +
-                             "); backing off " + std::to_string(pause) +
-                             " ns");
-        if (config_.sleep_on_backoff && pause > 0)
-          std::this_thread::sleep_for(std::chrono::nanoseconds(pause));
-        const core::StatusCode run_state = core::run_check();
-        if (run_state != core::StatusCode::kOk) {
-          last_failure = run_state;
-          resp.diag.record("service/retry", run_state, attempt, 0.0,
-                           "retry budget interrupted");
-          break;
-        }
-      } catch (const std::bad_alloc&) {
-        // Not a solver failure: the heap refused us mid-attempt. Rethrow so
-        // guarded_execute sheds the request as kRejectedOverload instead of
-        // the ladder masking memory pressure with further allocation.
-        breaker_.on_failure(core::StatusCode::kRejectedOverload);
-        throw;
-      } catch (const std::exception& e) {
-        last_failure = core::StatusCode::kInvalidInput;
-        resp.diag.record("service/attempt",
-                         core::StatusCode::kInvalidInput, attempt, 0.0,
-                         e.what());
-        break;
-      }
+    resp.attempts = 1;
+    try {
+      solution = selfconsistent::solve_one(ladder.full);
+      solved = true;
+    } catch (const SolveError& e) {
+      failure = e.status();
+      resp.diag.absorb(e.diag(), "service/attempt 1");
+    } catch (const std::bad_alloc&) {
+      // Not a solver failure: the heap refused us mid-solve. Rethrow so
+      // guarded_execute sheds the request as kRejectedOverload instead of
+      // the ladder masking memory pressure with further allocation.
+      breaker_.on_failure(core::StatusCode::kRejectedOverload);
+      throw;
+    } catch (const std::exception& e) {
+      failure = core::StatusCode::kInvalidInput;
+      resp.diag.record("service/attempt", core::StatusCode::kInvalidInput, 1,
+                       0.0, e.what());
     }
     if (solved)
       breaker_.on_success();
     else
-      breaker_.on_failure(last_failure);
+      breaker_.on_failure(failure);
   } else {
     resp.diag.record("service/breaker[" + breaker_.kernel() + "]",
                      core::StatusCode::kBreakerOpen,
@@ -278,24 +243,21 @@ Response Server::execute(const Request& request, std::size_t index) {
 
   if (solved) {
     answer_full(resp, request, ladder, solution);
-    // Only a CANONICAL solve is cacheable: clean first try, the
-    // synthesized single-event diag. Retried or recovered solves carry
-    // history a hit could not replay byte-identically.
-    if (solve_cache != nullptr && resp.attempts == 1 &&
-        cache::canonical_solve(solution)) {
+    // Only a CANONICAL solve is cacheable: the synthesized single-event
+    // diag. A recovered solve carries history a hit could not replay
+    // byte-identically.
+    if (solve_cache != nullptr && cache::canonical_solve(solution))
       solve_cache->publish(cache_key, cache::from_solution(solution));
-      flight.dismiss();
-    }
     ++ok_full_;
     return resp;
   }
 
   // An interrupted request gets no degraded answer: the caller's budget is
   // gone and any reply would arrive too late to be acted on.
-  if (core::is_interruption(last_failure)) {
-    resp.status = last_failure;
+  if (core::is_interruption(failure)) {
+    resp.status = failure;
     resp.error = std::string("request interrupted (") +
-                 core::status_name(last_failure) + ")";
+                 core::status_name(failure) + ")";
     ++failed_;
     return resp;
   }
@@ -313,9 +275,9 @@ Response Server::execute(const Request& request, std::size_t index) {
                      0.0, e.what());
   }
 
-  resp.status = last_failure;
+  resp.status = failure;
   resp.error = std::string("full solve unavailable (") +
-               core::status_name(last_failure) +
+               core::status_name(failure) +
                ") and no degradation rung applies";
   ++failed_;
   return resp;
@@ -329,7 +291,6 @@ ServerMetrics Server::metrics() const {
   m.ok_full = ok_full_.load();
   m.ok_analytic = ok_analytic_.load();
   m.failed = failed_.load();
-  m.retries = retries_.load();
   return m;
 }
 
@@ -352,8 +313,7 @@ report::Json Server::service_json() const {
       .set("ok_full", Json::integer(static_cast<long long>(m.ok_full)))
       .set("ok_analytic",
            Json::integer(static_cast<long long>(m.ok_analytic)))
-      .set("failed", Json::integer(static_cast<long long>(m.failed)))
-      .set("retries", Json::integer(static_cast<long long>(m.retries)));
+      .set("failed", Json::integer(static_cast<long long>(m.failed)));
   root.set("outcomes", std::move(outcomes));
 
   if (config_.solve_cache != nullptr) {

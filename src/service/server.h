@@ -13,16 +13,20 @@
 //   deadline    Each admitted request runs under a RunContext whose
 //               monotonic budget is `deadline_ns` (0 = none), merged with
 //               any tighter ambient deadline of the caller.
-//   retry       kNonFinite / kMaxIterations failures of the full solve are
-//               retried up to RetryPolicy::max_attempts with exponential
-//               backoff and seeded jitter — a pure function of (policy,
-//               request key, attempt), bitwise reproducible everywhere.
-//   breaker     One CircuitBreaker guards the "eq13/solve"
-//               kernel. When it is open, requests skip the solve entirely
-//               and step down the degradation ladder.
+//   cache       With a solve cache attached, one lookup: a verified hit
+//               replays the cold reply's exact bytes and skips the solve.
+//   breaker     One CircuitBreaker guards the "eq13/solve" kernel. A
+//               request it admits gets exactly one full solve (the solve
+//               is pure, so running it again cannot change a failure);
+//               while it is open, requests skip the solve entirely.
 //   degradation Full quasi-2D solve -> analytic quasi-1D bound
 //               (degrade.h). Degraded responses carry degradation_level
 //               and conservative = true.
+//
+// Server::execute is the solve cache's only reader and writer: it publishes
+// each canonical solve after answering it. Two concurrent misses on one key
+// each solve; their bytes are identical and the second publish appends
+// nothing.
 //
 // Responses never escape as exceptions: every request — malformed, shed,
 // failed, degraded — yields exactly one terminal Response. With fault
@@ -43,7 +47,6 @@
 #include "service/breaker.h"
 #include "service/degrade.h"
 #include "service/request.h"
-#include "service/retry.h"
 
 namespace dsmt::service {
 
@@ -53,18 +56,13 @@ struct ServerConfig {
   /// Per-request deadline budget [ns] (0 = none). Merged with any tighter
   /// ambient deadline already installed by the caller.
   std::uint64_t deadline_ns = 0;
-  RetryPolicy retry{};
   BreakerConfig breaker{};
-  /// Actually sleep the scheduled backoff between attempts. Tests disable
-  /// it: the schedule (recorded in Response::backoff_ns) is what matters.
-  bool sleep_on_backoff = true;
   /// Publish this server's service_json() under the sign-off "service" key
   /// (core/signoff.h) for the server's lifetime.
   bool publish_signoff = true;
   /// Content-addressed solve cache above ladder rung 0 (cache/solve_cache.h):
-  /// verified hits replay the cold path's exact reply bytes, misses
-  /// single-flight the solve. Shared (shared_ptr) so the supervise parent
-  /// and the in-process service can serve from one cache. Null = no cache.
+  /// verified hits replay the cold path's exact reply bytes, canonical
+  /// solves are published. Null = no cache.
   std::shared_ptr<cache::SolveCache> solve_cache;
 };
 
@@ -76,15 +74,7 @@ struct ServerMetrics {
   std::uint64_t ok_full = 0;    ///< answered by the full quasi-2D solve
   std::uint64_t ok_analytic = 0;  ///< answered by ladder rung 2
   std::uint64_t failed = 0;     ///< terminal non-kOk responses
-  std::uint64_t retries = 0;    ///< backoff pauses scheduled
 };
-
-/// The reply a clean first-try solve of `request` gets, rebuilt from a
-/// verified solve-cache hit: byte for byte the cold reply. `ladder` must be
-/// build_problem(request). The in-process server and the supervise parent
-/// both answer hits with it.
-Response replay_hit(const Request& request, const LadderProblem& ladder,
-                    const cache::CachedSolve& hit);
 
 class Server {
  public:
@@ -100,7 +90,7 @@ class Server {
   std::vector<Response> submit_batch(const std::vector<Request>& batch);
 
   /// Serves one request, bypassing admission (it always "fits"). `index`
-  /// seeds the retry jitter key together with request.id.
+  /// is unused; it stays so existing callers keep compiling.
   Response handle(const Request& request, std::size_t index = 0);
 
   ServerMetrics metrics() const;
@@ -113,8 +103,8 @@ class Server {
   report::Json service_json() const;
 
  private:
-  Response execute(const Request& request, std::size_t index);
-  Response guarded_execute(const Request& request, std::size_t index);
+  Response execute(const Request& request);
+  Response guarded_execute(const Request& request);
   Response shed_response(const Request& request);
 
   const ServerConfig config_;
@@ -125,7 +115,6 @@ class Server {
   std::atomic<std::uint64_t> ok_full_{0};
   std::atomic<std::uint64_t> ok_analytic_{0};
   std::atomic<std::uint64_t> failed_{0};
-  std::atomic<std::uint64_t> retries_{0};
 };
 
 }  // namespace dsmt::service

@@ -135,9 +135,8 @@ ExecuteResult to_result(const service::Response& resp) {
 
 namespace {
 
-/// Children must never inherit the parent's solve cache: the AppendLog fd
-/// would cross fork() and child publishes would interleave with the
-/// parent's segment appends. The parent-side handle is config.solve_cache.
+/// Children must never inherit a solve cache: its AppendLog fd would cross
+/// fork() and every child would append to one segment file.
 SuperviseConfig strip_child_cache(SuperviseConfig config) {
   config.service.solve_cache.reset();
   return config;
@@ -178,33 +177,7 @@ WorkerPool::~WorkerPool() {
 
 ExecuteResult WorkerPool::execute(const service::Request& request,
                                   std::uint64_t seq) {
-  // One canonical key, id cleared, serves both the quarantine hash and
-  // the cache lookup.
-  const std::string key = cache::canonical_key(request);
-  const std::uint64_t hash = canonical_key_hash(key);
-  // Shared-cache fast path, checked BEFORE the quarantine table: a
-  // request whose canonical twin already solved is answered from the
-  // verified cache without leasing a worker — poison repeats and
-  // crashed-worker retries included. lookup() (not acquire()): the parent
-  // must never park behind another request's solve.
-  if (config_.solve_cache != nullptr) {
-    cache::CachedSolve hit;
-    if (config_.solve_cache->lookup(key, hit)) {
-      try {
-        const service::LadderProblem ladder =
-            service::build_problem(request);
-        {
-          MutexLock lock(mu_);
-          ++stats_.requests;
-          ++stats_.cache_hits;
-        }
-        return to_result(service::replay_hit(request, ladder, hit));
-      } catch (const std::exception&) {
-        // The key decodes but the problem no longer builds — fall through
-        // to the normal path, which classifies the failure.
-      }
-    }
-  }
+  const std::uint64_t hash = canonical_request_hash(request);
   int quarantined_crashes = 0;
   {
     MutexLock lock(mu_);
@@ -328,8 +301,8 @@ bool WorkerPool::acquire(Lease& lease, ExecuteResult& failure,
   }
   if (!needs_fork) return true;
 
-  // Deterministic restart pacing: the PR 5 seeded-backoff schedule as a
-  // pure function of (slot, consecutive restart count) — bitwise identical
+  // Deterministic restart pacing: the seeded-backoff schedule as a pure
+  // function of (slot, consecutive restart count) — bitwise identical
   // across runs, with or without the sleep.
   int restart_attempt = 1;
   {
@@ -692,9 +665,7 @@ report::Json WorkerPool::supervise_json() const {
       .set("protocol_errors",
            Json::integer(static_cast<long long>(stats_.protocol_errors)))
       .set("oversize_refusals",
-           Json::integer(static_cast<long long>(stats_.oversize_refusals)))
-      .set("cache_hits",
-           Json::integer(static_cast<long long>(stats_.cache_hits)));
+           Json::integer(static_cast<long long>(stats_.oversize_refusals)));
 
   Json quarantine = Json::array();
   for (const auto& [hash, entry] : quarantine_) {
@@ -715,8 +686,6 @@ report::Json WorkerPool::supervise_json() const {
            Json::integer(static_cast<long long>(payload_cap_)))
       .set("stats", std::move(stats))
       .set("quarantine", std::move(quarantine));
-  if (config_.solve_cache != nullptr)
-    root.set("cache", config_.solve_cache->cache_json());
   return root;
 }
 

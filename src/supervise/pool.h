@@ -11,7 +11,7 @@
 //              child's rusage — both recorded in the SolverDiag chain of
 //              the kWorkerCrashed response the caller gets instead of
 //              silence.
-//   restart    the slot is reforked on next lease, after the PR 5 seeded
+//   restart    the slot is reforked on next lease, after a seeded
 //              backoff (service/retry.h: a pure function of slot index and
 //              consecutive-restart count, bitwise reproducible). Rails
 //              (WorkerLimits) are reinstalled in every new child. All forks
@@ -35,9 +35,13 @@
 // answers with the interruption status instead of blocking forever.
 //
 // Determinism: a successful reply is the child's response bytes forwarded
-// unmodified, and the child serves (request, seq) exactly as the in-process
+// unmodified, and the child serves the request exactly as the in-process
 // service would, so non-crashing lanes keep the byte-identical-replies-at-
 // any-DSMT_THREADS invariant across the process boundary.
+//
+// Neither side holds a solve cache: the parent never solves, and the
+// constructor drops any cache from the child-side service config, because
+// a cache's segment fd must never cross fork().
 #pragma once
 
 #include <sys/types.h>
@@ -63,7 +67,7 @@ namespace dsmt::supervise {
 
 struct SuperviseConfig {
   std::size_t workers = 2;             ///< forked worker children
-  service::ServerConfig service{};     ///< child-side service config
+  service::ServerConfig service{};  ///< child-side config, solve_cache dropped
   /// Cap on one IPC message's JSON payload [bytes] (both directions). The
   /// pool clamps this to what the kernel's socket buffers can actually
   /// carry in one SEQPACKET datagram (see payload_cap()); a request over
@@ -71,7 +75,7 @@ struct SuperviseConfig {
   std::size_t max_payload_bytes = net::kDefaultMaxFrameBytes;
   /// Crashes by one canonical request hash before it stops reaching workers.
   int quarantine_threshold = 2;
-  /// Seeded backoff between consecutive reforks of one slot (PR 5 policy).
+  /// Seeded backoff between consecutive reforks of one slot.
   service::RetryPolicy restart_backoff{};
   /// Actually sleep the restart backoff (tests disable it; the schedule is
   /// recorded in the diag chain either way).
@@ -85,13 +89,6 @@ struct SuperviseConfig {
   /// Publish the quarantine table + worker stats under the sign-off
   /// "service" key for the pool's lifetime.
   bool publish_signoff = true;
-  /// Parent-side shared solve cache (cache/solve_cache.h): verified hits
-  /// are answered before the quarantine table and the worker lease, so
-  /// quarantined-poison repeats and crashed-worker retries whose canonical
-  /// twin already solved never touch a child. Children NEVER inherit it —
-  /// the constructor strips service.solve_cache before forking (a cache fd
-  /// shared across fork would interleave segment appends).
-  std::shared_ptr<cache::SolveCache> solve_cache;
 };
 
 /// Monotonic counters since construction (snapshot).
@@ -106,7 +103,6 @@ struct SuperviseStats {
   std::uint64_t quarantined_hashes = 0;   ///< hashes at/over the threshold
   std::uint64_t protocol_errors = 0;      ///< corrupted IPC echoes
   std::uint64_t oversize_refusals = 0;    ///< requests over the payload cap
-  std::uint64_t cache_hits = 0;  ///< served from the shared solve cache
 };
 
 /// Outcome of one supervised request: the complete DSM1 reply frame for the
@@ -125,8 +121,8 @@ class WorkerPool {
 
   /// Serves one request through a leased worker. Always returns exactly one
   /// terminal result — forwarded reply, kWorkerCrashed, quarantine answer,
-  /// or interruption — never throws for per-request failures. `seq` seeds
-  /// the child's retry jitter exactly like the in-process path.
+  /// or interruption — never throws for per-request failures. The child
+  /// echoes `seq`; a wrong echo marks it corrupted.
   ExecuteResult execute(const service::Request& request, std::uint64_t seq);
 
   /// Closes every channel (children exit on EOF), reaps with a bounded

@@ -24,14 +24,10 @@ std::uint64_t get_u64_be(const char* data) {
 
 }  // namespace
 
-std::uint64_t canonical_key_hash(const std::string& canonical_key) {
+std::uint64_t canonical_request_hash(const service::Request& request) {
   // FNV-1a from the one shared primitive (cache/fnv.h), under the basis
   // this hash has always used (frozen there as kCanonicalBasis).
-  return cache::fnv1a(canonical_key, cache::kCanonicalBasis);
-}
-
-std::uint64_t canonical_request_hash(const service::Request& request) {
-  return canonical_key_hash(cache::canonical_key(request));
+  return cache::fnv1a(cache::canonical_key(request), cache::kCanonicalBasis);
 }
 
 std::string encode_request_message(std::uint64_t seq,

@@ -15,10 +15,10 @@
 // a mismatched echo means the child is corrupted and must be restarted.
 //
 // canonical_request_hash() is the poison-quarantine key: FNV-1a over the
-// request's id-cleared canonical form (cache::canonical_key), so the same
-// physics shares one quarantine entry whatever correlation id each client
-// chose. Clients pick a fresh id per request; a poison payload re-sent
-// under new ids is still one payload and must still be quarantined.
+// request's canonical key, which leaves the id out (cache::canonical_key),
+// so the same physics shares one quarantine entry whatever correlation id
+// each client chose. Clients pick a fresh id per request; a poison payload
+// re-sent under new ids is still one payload and must still be quarantined.
 #pragma once
 
 #include <cstdint>
@@ -31,13 +31,9 @@ namespace dsmt::supervise {
 /// Bytes of the big-endian sequence prefix ahead of the DSM1 frame.
 inline constexpr std::size_t kSeqPrefixBytes = 8;
 
-/// FNV-1a (64-bit, cache::kCanonicalBasis) over `canonical_key`, the
-/// output of cache::canonical_key(request): the content hash that keys the
-/// poison-quarantine table. Pure — identical across processes, threads,
-/// and runs.
-std::uint64_t canonical_key_hash(const std::string& canonical_key);
-
-/// canonical_key_hash(cache::canonical_key(request)).
+/// FNV-1a (64-bit, cache::kCanonicalBasis) over cache::canonical_key(
+/// request): the content hash that keys the poison-quarantine table.
+/// Pure — identical across processes, threads, and runs.
 std::uint64_t canonical_request_hash(const service::Request& request);
 
 /// One parent->child datagram: seq prefix + DSM1-framed request JSON.

@@ -108,8 +108,7 @@ int run_worker(int channel_fd, service::ServerConfig service_config,
           // to prove.
           numeric::fault::crash_point("supervise/worker", request.id);
           try {
-            response =
-                server.handle(request, static_cast<std::size_t>(seq));
+            response = server.handle(request);
           } catch (const std::bad_alloc&) {
             response = slim_error(
                 request.id, core::StatusCode::kRejectedOverload,
@@ -128,10 +127,10 @@ int run_worker(int channel_fd, service::ServerConfig service_config,
             kSeqPrefixBytes + net::kFrameHeaderBytes + max_payload_bytes;
         reply = encode_response_message(seq, response);
         if (reply.size() > message_cap) {
-          // Elide ONLY the diag chain (and the retry schedule riding with
-          // it): the status and the numeric results the client asked for
-          // are kept — a successful solve must not turn into a hollow kOk
-          // with no temperatures just because its diagnostics grew.
+          // Elide ONLY the diag chain: the status and the numeric results
+          // the client asked for are kept — a successful solve must not
+          // turn into a hollow kOk with no temperatures just because its
+          // diagnostics grew.
           service::Response elided = response;
           elided.diag = core::SolverDiag{};
           elided.diag.record("supervise/worker", response.status,
@@ -139,7 +138,6 @@ int run_worker(int channel_fd, service::ServerConfig service_config,
                              response.diag.residual,
                              "diag chain elided: full reply exceeds the "
                              "supervision datagram cap");
-          elided.backoff_ns.clear();
           reply = encode_response_message(seq, elided);
           if (reply.size() > message_cap)
             // Still over — only a pathological id can do this. Nothing

@@ -269,7 +269,6 @@ inline service::Request wire(const std::string& id, double duty) {
 
 inline service::ServerConfig quiet() {
   service::ServerConfig c;
-  c.sleep_on_backoff = false;
   c.publish_signoff = false;
   return c;
 }
@@ -341,7 +340,6 @@ inline Replies reply_corpus() {
     // The first failure opens the breaker; the next request never reaches
     // the solver.
     service::ServerConfig config = corpus::quiet();
-    config.retry.max_attempts = 1;
     config.breaker.failure_threshold = 1;
     service::Server server(config);
     ScopedFault fault(corpus::dead_solver());
@@ -360,9 +358,7 @@ inline Replies reply_corpus() {
   {
     // The same geometry solved at r' = 0.25, then the solver fails at
     // r = 0.1 <= r'.
-    service::ServerConfig config = corpus::quiet();
-    config.retry.max_attempts = 1;
-    service::Server server(config);
+    service::Server server(corpus::quiet());
     (void)server.handle(corpus::wire("solved", 0.25), 0);
     ScopedFault fault(corpus::dead_solver());
     out.emplace_back("degraded/solved-geometry-then-fault",

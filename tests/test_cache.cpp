@@ -1,20 +1,19 @@
 // Result-cache integrity suite (ctest label `cache`): the durable
 // content-addressed solve cache of src/cache/. Proves the contract the
-// cache exists to keep: a warm hit's reply bytes are identical to the cold
-// solve's at every thread count and through both the in-process and the
-// supervised (--isolate parent) paths; a flipped bit ANYWHERE in a segment
-// file is quarantined, never served; torn tails are truncated and the file
-// stays appendable; a foreign schema stamp refuses the whole file; and a
-// stampede of identical requests coalesces onto one leader. Mutates the
-// global thread count and forks worker children, so it gets its own
-// executable like the other chaos suites.
+// cache exists to keep: a hit's reply bytes are identical to the cold
+// solve's at every thread count, including for requests that differ only
+// past the 10th significant digit; concurrent misses on one key each answer
+// the cold bytes and store the entry once; a flipped bit ANYWHERE in a
+// segment file is quarantined, never served; torn tails are truncated and
+// the file stays appendable; and a foreign schema stamp refuses the whole
+// file. Mutates the global thread count, so it gets its own executable like
+// the other chaos suites.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -25,12 +24,9 @@
 #include "cache/entry.h"
 #include "cache/segment.h"
 #include "cache/solve_cache.h"
-#include "cache/warm.h"
 #include "parallel/parallel_for.h"
 #include "service/request.h"
 #include "service/server.h"
-#include "supervise/pool.h"
-#include "supervise/protocol.h"
 
 namespace dsmt::cache {
 namespace {
@@ -90,19 +86,7 @@ bool bitwise_equal(const CachedSolve& a, const CachedSolve& b) {
 
 service::ServerConfig quiet_config() {
   service::ServerConfig c;
-  c.sleep_on_backoff = false;
   c.publish_signoff = false;
-  return c;
-}
-
-supervise::SuperviseConfig quiet_pool(std::size_t workers) {
-  supervise::SuperviseConfig c;
-  c.workers = workers;
-  c.service.sleep_on_backoff = false;
-  c.service.publish_signoff = false;
-  c.sleep_on_restart_backoff = false;
-  c.publish_signoff = false;
-  c.poll_interval_ms = 5;
   return c;
 }
 
@@ -269,82 +253,6 @@ TEST(Segment, ForeignSchemaStampRefusesWholeFile) {
   EXPECT_FALSE(reloaded.stats().refused_stamp);
 }
 
-// --- single-flight coalescing ----------------------------------------------
-
-TEST(SingleFlight, StampedeElectsOneLeaderAndCoalescesWaiters) {
-  SolveCache cache(SolveCacheConfig{});  // memory-only
-  constexpr int kThreads = 8;
-  std::atomic<int> leads{0}, hits{0}, solves{0};
-  std::atomic<bool> go{false};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      while (!go.load()) std::this_thread::yield();
-      CachedSolve out;
-      switch (cache.acquire("stampede", out)) {
-        case Acquire::kLead:
-          ++leads;
-          // Hold the flight long enough for the others to park.
-          std::this_thread::sleep_for(std::chrono::milliseconds(50));
-          cache.publish("stampede", sample_value(4));
-          break;
-        case Acquire::kHit:
-          EXPECT_TRUE(bitwise_equal(out, sample_value(4)));
-          ++hits;
-          break;
-        case Acquire::kSolve:
-          ++solves;
-          break;
-      }
-    });
-  }
-  go.store(true);
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(leads.load(), 1);
-  EXPECT_EQ(leads.load() + hits.load() + solves.load(), kThreads);
-  // The default 2 s wait budget dwarfs the 50 ms hold: every waiter
-  // coalesces instead of giving up.
-  EXPECT_EQ(hits.load(), kThreads - 1);
-  EXPECT_GE(cache.stats().coalesced, static_cast<std::uint64_t>(
-                                         hits.load() > 0 ? 1 : 0));
-}
-
-TEST(SingleFlight, AbandonPromotesAWaiterInsteadOfWedgingIt) {
-  SolveCache cache(SolveCacheConfig{});
-  CachedSolve out;
-  ASSERT_EQ(cache.acquire("abandoned", out), Acquire::kLead);
-  std::atomic<bool> waiter_done{false};
-  std::thread waiter([&] {
-    CachedSolve theirs;
-    const Acquire got = cache.acquire("abandoned", theirs);
-    // The promoted waiter becomes the new leader (or solves on its own if
-    // its budget expired first — never an unanswered wedge).
-    EXPECT_NE(got, Acquire::kHit);
-    if (got == Acquire::kLead) cache.abandon("abandoned");
-    waiter_done.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  cache.abandon("abandoned");
-  waiter.join();
-  EXPECT_TRUE(waiter_done.load());
-}
-
-TEST(SingleFlight, WaiterBudgetExpiryDissolvesIntoIndependentSolve) {
-  SolveCacheConfig cfg;
-  cfg.wait_budget_ns = 20'000'000;  // 20 ms
-  cfg.poll_interval_ms = 2;
-  SolveCache cache(cfg);
-  CachedSolve out;
-  ASSERT_EQ(cache.acquire("wedged", out), Acquire::kLead);
-  // The leader never publishes; the waiter must give up and solve.
-  const auto start = std::chrono::steady_clock::now();
-  EXPECT_EQ(cache.acquire("wedged", out), Acquire::kSolve);
-  const auto waited = std::chrono::steady_clock::now() - start;
-  EXPECT_LT(waited, std::chrono::seconds(2));
-  cache.abandon("wedged");
-}
-
 // --- eviction ---------------------------------------------------------------
 
 TEST(Eviction, FifoBoundsResidencyPerShard) {
@@ -377,6 +285,11 @@ std::vector<service::Request> identity_requests() {
   cell.level = 2;
   cell.duty_cycle = 1.0;
   batch.push_back(cell);
+  // A full-precision client's 0.1 + 0.2 (0.30000000000000004) and a
+  // literal 0.3 agree to 16 digits but not bit for bit: they must not
+  // share a cache entry.
+  batch.push_back(wire_request("ident-sum", 0.1 + 0.2));
+  batch.push_back(wire_request("ident-literal", 0.3));
   return batch;
 }
 
@@ -413,71 +326,61 @@ TEST(ByteIdentity, WarmHitEqualsColdSolveAcrossThreadCounts) {
   }
 }
 
-TEST(ByteIdentity, SupervisedParentCacheHitEqualsWorkerSolvedBytes) {
-  // The same requests through two supervised pools: one plain, one whose
-  // parent shares a pre-warmed cache and answers from it without leasing a
-  // worker. The client-visible frames must be identical.
-  const std::vector<service::Request> requests = identity_requests();
+TEST(ByteIdentity, ConcurrentColdMissesMatchUncachedBytesAndStoreOnce) {
+  // Eight threads miss on one key at once and each one solves. Every reply
+  // must still be the uncached bytes, and the entry is stored once: the
+  // later publishes find it resident and append nothing.
+  const service::Request request = wire_request("concurrent", 0.17);
+  service::Server bare(quiet_config());
+  const std::string cold =
+      service::response_to_json(bare.handle(request)).dump(-1);
 
-  supervise::WorkerPool plain(quiet_pool(1));
-  std::vector<std::string> worker_frames;
-  for (std::size_t i = 0; i < requests.size(); ++i)
-    worker_frames.push_back(plain.execute(requests[i], i).frame);
-  plain.shutdown();
-
-  supervise::SuperviseConfig cfg = quiet_pool(1);
-  cfg.solve_cache = std::make_shared<SolveCache>(SolveCacheConfig{});
-  const WarmReport warmed = warm_cache(*cfg.solve_cache, requests);
-  ASSERT_EQ(warmed.inserted, requests.size());
-  supervise::WorkerPool warmed_pool(cfg);
-  std::vector<std::string> cached_frames;
-  for (std::size_t i = 0; i < requests.size(); ++i)
-    cached_frames.push_back(warmed_pool.execute(requests[i], i).frame);
-  const supervise::SuperviseStats stats = warmed_pool.stats();
-  warmed_pool.shutdown();
-
-  EXPECT_EQ(worker_frames, cached_frames);
-  EXPECT_EQ(stats.cache_hits, requests.size());
-}
-
-TEST(ByteIdentity, WarmedLatticeCoversTheLoadgenStream) {
-  // The --warm-cache lattice must actually hit for the duty sweep the
-  // loadgen (and the benchmarks) replay — a warm miss would silently turn
-  // the warm-hit benchmark into a cold one.
-  SolveCache cache(SolveCacheConfig{});
-  const WarmReport report = warm_hot_lattice(cache);
-  EXPECT_EQ(report.requested, report.solved);
-  EXPECT_EQ(report.solved, report.inserted);
-  for (int i = 0; i < 40; ++i) {
-    service::Request r;  // the loadgen request, id aside
-    r.id = "load-0-" + std::to_string(i);
-    r.kind = service::RequestKind::kSelfConsistent;
-    r.duty_cycle = 0.05 + 0.01 * (i % 40);
-    CachedSolve hit;
-    EXPECT_TRUE(cache.lookup(canonical_key(r), hit)) << i;
+  SolveCacheConfig cache_config;
+  cache_config.dir = cache_dir("concurrent");
+  service::ServerConfig cfg = quiet_config();
+  cfg.solve_cache = std::make_shared<SolveCache>(cache_config);
+  constexpr int kThreads = 8;
+  std::vector<std::string> replies(kThreads);
+  {
+    service::Server cached(cfg);
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t)
+      threads.emplace_back([&, t] {
+        while (!go.load()) std::this_thread::yield();
+        replies[static_cast<std::size_t>(t)] =
+            service::response_to_json(cached.handle(request)).dump(-1);
+      });
+    go.store(true);
+    for (std::thread& t : threads) t.join();
   }
+  for (const std::string& reply : replies) EXPECT_EQ(reply, cold);
+  EXPECT_EQ(cfg.solve_cache->stats().inserts, 1u);
+
+  cfg.solve_cache.reset();  // close the segment before replaying it
+  SolveCache reopened(cache_config);
+  EXPECT_EQ(reopened.stats().loaded, 1u);
 }
 
 // --- observability ----------------------------------------------------------
 
-TEST(Observability, ServiceJsonReportsReferenceAndSolveSections) {
+TEST(Observability, ServiceJsonReportsSolveCacheSection) {
   service::ServerConfig cfg = quiet_config();
   cfg.solve_cache = std::make_shared<SolveCache>(SolveCacheConfig{});
   service::Server server(cfg);
-  const std::vector<service::Request> requests = identity_requests();
-  for (std::size_t i = 0; i < requests.size(); ++i)
-    (void)server.handle(requests[i], i);
+  for (const service::Request& request : identity_requests())
+    (void)server.handle(request);
 
   const report::Json doc = server.service_json();
   const report::Json* cache_node = doc.find("cache");
   ASSERT_NE(cache_node, nullptr);
-  EXPECT_EQ(cache_node->find("reference"), nullptr);
   const report::Json* solve = cache_node->find("solve");
   ASSERT_NE(solve, nullptr);
   for (const char* field :
-       {"hits", "misses", "coalesced", "inserts", "evictions",
-        "corrupt_quarantined", "entries", "bytes", "loaded",
-        "torn_truncated", "refused_stamp", "durable"})
+       {"hits", "misses", "inserts", "evictions", "corrupt_quarantined",
+        "entries", "bytes", "loaded", "torn_truncated", "refused_stamp",
+        "durable"})
     EXPECT_NE(solve->find(field), nullptr) << field;
 
   // Without an attached solve cache there is no cache to report.

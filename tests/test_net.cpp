@@ -159,7 +159,6 @@ class NetServerTest : public ::testing::Test {
     config.tick_ms = 5;
     config.idle_timeout_ticks = 400;   // 2 s — far beyond any healthy test
     config.drain_timeout_ticks = 400;
-    config.service.sleep_on_backoff = false;
     config.service.publish_signoff = false;
     return config;
   }
@@ -629,7 +628,6 @@ class NetIsolateTest : public NetServerTest {
   void start_isolated() {
     supervise::SuperviseConfig sup;
     sup.workers = 2;
-    sup.service.sleep_on_backoff = false;
     sup.service.publish_signoff = false;
     sup.sleep_on_restart_backoff = false;
     sup.publish_signoff = false;

@@ -1,9 +1,10 @@
 // Service-layer robustness suite (ctest label `service`): deterministic
-// retry/backoff, breaker state machine under ScopedFault injection, bounded
-// admission with explicit shedding, the conservative degradation ladder, and
-// bit-identical batch responses across thread counts. Arms process-global
-// fault plans and mutates the global thread count, so it lives in its own
-// executable like the fault-injection and resilience suites.
+// backoff (the worker-restart pacing schedule), breaker state machine under
+// ScopedFault injection, bounded admission with explicit shedding, the
+// conservative degradation ladder, and bit-identical batch responses across
+// thread counts. Arms process-global fault plans and mutates the global
+// thread count, so it lives in its own executable like the fault-injection
+// and resilience suites.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +17,7 @@
 #include "numeric/fault_injection.h"
 #include "parallel/parallel_for.h"
 #include "parallel/thread_pool.h"
+#include "service/retry.h"
 #include "service/server.h"
 
 namespace dsmt::service {
@@ -45,7 +47,6 @@ Request wire_request(const std::string& id, double duty = 0.1,
 
 ServerConfig quiet_config() {
   ServerConfig c;
-  c.sleep_on_backoff = false;
   c.publish_signoff = false;
   return c;
 }
@@ -54,21 +55,11 @@ struct ThreadCountGuard {
   ~ThreadCountGuard() { parallel::set_thread_count(0); }
 };
 
-// --- retry/backoff determinism ---------------------------------------------
-
-TEST(Retry, RetryableStatuses) {
-  EXPECT_TRUE(retryable(core::StatusCode::kNonFinite));
-  EXPECT_TRUE(retryable(core::StatusCode::kMaxIterations));
-  EXPECT_FALSE(retryable(core::StatusCode::kOk));
-  EXPECT_FALSE(retryable(core::StatusCode::kInvalidInput));
-  EXPECT_FALSE(retryable(core::StatusCode::kNoBracket));
-  EXPECT_FALSE(retryable(core::StatusCode::kDeadlineExceeded));
-  EXPECT_FALSE(retryable(core::StatusCode::kCancelled));
-}
+// --- backoff determinism -----------------------------------------------------
 
 TEST(Retry, BackoffIsPureAndBounded) {
   const RetryPolicy policy;
-  const std::uint64_t key = request_key("req-7", 7);
+  const std::uint64_t key = mix64(7);
   for (int attempt = 1; attempt <= 6; ++attempt) {
     const std::uint64_t a = backoff_ns(policy, key, attempt);
     const std::uint64_t b = backoff_ns(policy, key, attempt);
@@ -81,11 +72,8 @@ TEST(Retry, BackoffIsPureAndBounded) {
                      static_cast<double>(policy.max_backoff_ns) *
                      (1.0 + policy.jitter) + 1.0));
   }
-  // Distinct requests draw distinct jitter even at the same attempt.
-  EXPECT_NE(backoff_ns(policy, request_key("a", 0), 1),
-            backoff_ns(policy, request_key("b", 1), 1));
-  // Same id, different batch index: still distinct keys.
-  EXPECT_NE(request_key("dup", 3), request_key("dup", 4));
+  // Distinct keys draw distinct jitter even at the same attempt.
+  EXPECT_NE(backoff_ns(policy, mix64(0), 1), backoff_ns(policy, mix64(1), 1));
 }
 
 TEST(Retry, ScheduleBitwiseIdenticalAcrossThreadCounts) {
@@ -95,8 +83,7 @@ TEST(Retry, ScheduleBitwiseIdenticalAcrossThreadCounts) {
   auto schedule_at = [&](std::size_t threads) {
     parallel::set_thread_count(threads);
     return parallel::parallel_map<std::uint64_t>(kN, [&](std::size_t i) {
-      const std::uint64_t key =
-          request_key("req-" + std::to_string(i), i);
+      const std::uint64_t key = mix64(i);
       std::uint64_t folded = 0;
       for (int attempt = 1; attempt <= 4; ++attempt)
         folded = mix64(folded ^ backoff_ns(policy, key, attempt));
@@ -215,7 +202,6 @@ TEST(Breaker, InterruptionsAndBadInputDoNotCount) {
 
 TEST(Breaker, FullCycleDrivenByScopedFaultThroughServer) {
   ServerConfig cfg = quiet_config();
-  cfg.retry.max_attempts = 1;
   cfg.breaker.failure_threshold = 2;
   cfg.breaker.open_ticks = 1;
   Server server(cfg);
@@ -288,33 +274,6 @@ TEST(Breaker, FullCycleDrivenByScopedFaultThroughServer) {
   EXPECT_FALSE(static_cast<bool>(core::signoff_service_source()));
 }
 
-TEST(Retry, BackoffScheduleRecordedAndReproducible) {
-  ServerConfig cfg = quiet_config();
-  cfg.retry.max_attempts = 3;
-  cfg.breaker.failure_threshold = 100;  // keep the breaker out of the way
-  const Request req = wire_request("retry-me");
-
-  auto run_once = [&] {
-    Server server(cfg);
-    ScopedFault fault(kill_solver());
-    return server.handle(req, 42);
-  };
-  const Response first = run_once();
-  const Response second = run_once();
-
-  EXPECT_EQ(first.attempts, 3);
-  ASSERT_EQ(first.backoff_ns.size(), 2u);  // pauses between 3 attempts
-  EXPECT_EQ(first.backoff_ns, second.backoff_ns);
-  // The schedule is exactly the pure backoff function of (policy, key, n).
-  const std::uint64_t key = request_key(req.id, 42);
-  EXPECT_EQ(first.backoff_ns[0], backoff_ns(cfg.retry, key, 1));
-  EXPECT_EQ(first.backoff_ns[1], backoff_ns(cfg.retry, key, 2));
-  // Degraded but answered, with the failed attempts in the diag chain.
-  EXPECT_TRUE(first.ok());
-  EXPECT_TRUE(first.degraded);
-  EXPECT_FALSE(first.diag.chain.empty());
-}
-
 // --- admission control -------------------------------------------------------
 
 TEST(Admission, ShedsBeyondQueueCapacityDeterministically) {
@@ -349,7 +308,6 @@ TEST(Admission, ChaosBatchAlwaysGetsTerminalStructuredResponses) {
   parallel::set_thread_count(8);
   ServerConfig cfg = quiet_config();
   cfg.queue_capacity = 8;  // saturated: 1000 requests against 8 slots
-  cfg.retry.max_attempts = 2;
   Server server(cfg);
 
   std::vector<Request> batch;

@@ -21,7 +21,6 @@
 #include <thread>
 #include <vector>
 
-#include "cache/entry.h"
 #include "core/atomic_file.h"
 #include "core/run_context.h"
 #include "core/status.h"
@@ -58,7 +57,6 @@ service::Request wire_request(const std::string& id, double duty = 0.1,
 SuperviseConfig quiet_pool(std::size_t workers) {
   SuperviseConfig c;
   c.workers = workers;
-  c.service.sleep_on_backoff = false;
   c.service.publish_signoff = false;
   c.sleep_on_restart_backoff = false;
   c.publish_signoff = false;
@@ -95,8 +93,6 @@ TEST(SuperviseProtocol, CanonicalHashIsPureAndContentKeyed) {
   // The client's correlation id is not content: a fresh id keeps the key.
   copy.id = "req-b";
   EXPECT_EQ(canonical_request_hash(a), canonical_request_hash(copy));
-  EXPECT_EQ(canonical_request_hash(a),
-            canonical_key_hash(cache::canonical_key(a)));
   // Any physics difference changes it.
   service::Request hotter = a;
   hotter.duty_cycle = 0.2;
@@ -339,8 +335,8 @@ TEST(WorkerPool, OversizeRequestIsTypedRefusalNotACrash) {
 
 TEST(WorkerPool, OversizeReplyKeepsResultsAndElidesOnlyTheDiag) {
   // Fatten the reply's diag chain deterministically: exhausting the child's
-  // solver iterations drives the retry schedule and the degradation ladder,
-  // which append several records (plus backoff_ns) to a still-kOk response.
+  // solver iterations fails the full solve and drives the degradation
+  // ladder, which append several records to a still-kOk response.
   SuperviseConfig config = quiet_pool(1);
   config.limits.child_fault.kind = FaultKind::kExhaustIterations;
   config.limits.child_fault.kernel_substr = "selfconsistent";
@@ -564,7 +560,6 @@ TEST(ServiceAdmission, BadAllocDuringSolveIsShedAsOverload) {
   ScopedFault fault(plan);
 
   service::ServerConfig config;
-  config.sleep_on_backoff = false;
   config.publish_signoff = false;
   service::Server server(config);
   const service::Response resp = server.handle(wire_request("heap-gone"), 1);

@@ -25,10 +25,10 @@
 //                 answer "ok" and their latency percentiles are reported
 //                 separately from the poison lanes
 //   cache-storm   every client sends the IDENTICAL request stream (same ids,
-//                 same parameters) so concurrent misses stampede the same
-//                 cache keys; every request must answer "ok" and — the
+//                 same parameters) so concurrent requests hit or miss the
+//                 same cache keys; every request must answer "ok" and — the
 //                 integrity claim — reply i must be byte-identical across
-//                 all clients (hit, coalesced hit, and cold solve must be
+//                 all clients (a hit and a cold solve must be
 //                 indistinguishable on the wire)
 //   bitflip       no socket: flips --flips seeded bits in-place in --file
 //                 (a cache segment), for corruption-recovery drills
@@ -84,8 +84,9 @@ void print_error(const std::string& message) {
       "                        every request must be answered exactly once\n"
       "                        (--crash-storm is shorthand for this mode)\n"
       "  --mode cache-storm    identical request stream from every client\n"
-      "                        (a coalescing stampede); all replies must be\n"
-      "                        \"ok\" and byte-identical across clients\n"
+      "                        (concurrent hits and misses on the same keys);\n"
+      "                        all replies must be \"ok\" and byte-identical\n"
+      "                        across clients\n"
       "  --mode bitflip        no socket: flip --flips seeded bits in-place\n"
       "                        in --file (cache-segment corruption drill)\n"
       "\n"
@@ -432,9 +433,9 @@ void run_crash_storm_client(const Options& opt, int client,
 }
 
 /// The cache-storm request stream: the SAME ids and parameters for every
-/// client, so C clients asking request i concurrently stampede one cache
-/// key. Ids are client-independent on purpose — replies can then be
-/// compared byte-for-byte across clients.
+/// client, so C clients ask request i of one cache key concurrently. Ids
+/// are client-independent on purpose — replies can then be compared
+/// byte-for-byte across clients.
 std::string storm_payload(int index) {
   dsmt::service::Request req;
   req.id = "storm-" + std::to_string(index);
@@ -446,7 +447,7 @@ std::string storm_payload(int index) {
 /// The cache-storm client: every reply must be well-formed and "ok", and
 /// the raw payload bytes are kept so main() can assert that client k's
 /// reply i equals client 0's reply i — the wire-level proof that cache
-/// hits, coalesced hits, and cold solves are indistinguishable.
+/// hits and cold solves are indistinguishable.
 void run_cache_storm_client(const Options& opt, int client,
                             ClientResult& out) {
   ClientSock sock;
@@ -682,8 +683,7 @@ int main(int argc, char** argv) {
   std::sort(poison_latencies.begin(), poison_latencies.end());
 
   // cache-storm: reply i must be byte-identical across every client — the
-  // wire-level proof that hits, coalesced hits, and cold solves are
-  // indistinguishable.
+  // wire-level proof that hits and cold solves are indistinguishable.
   int byte_mismatches = 0;
   if (opt.mode == "cache-storm" && !results.empty()) {
     const std::vector<std::string>& reference = results[0].reply_bytes;
