@@ -3,10 +3,10 @@
 //
 // Batch mode (default): reads a JSON batch (a bare array of request
 // objects, or {"requests": [...]}), serves it through admission control /
-// solve cache / breaker / degradation ladder, and prints one JSON document:
+// solve cache / one solve / degradation ladder, and prints one JSON document:
 //
 //   {"responses": [...one structured response per request, in order...],
-//    "service":   {...admission counters, cache, breaker transitions...}}
+//    "service":   {...admission and outcome counters, cache...}}
 //
 // Socket mode (--listen PATH or --tcp PORT): runs the hardened socket
 // front end (dsmt::net::Server) speaking DSM1-framed request/response JSON
@@ -34,17 +34,19 @@
 //      responses, never as a nonzero front-end exit
 //   1  --strict violation: a terminal failure response (batch) or a forced
 //      drain (socket)
-//   2  usage, batch-parse, or socket-setup errors (--isolate with --batch
-//      or with --cache-dir, unknown --crash-faults kind, or a failed initial
-//      worker fork)
+//   2  usage, batch-parse, or socket-setup errors (an option it does not
+//      know, --isolate with --batch or with --cache-dir, unknown
+//      --crash-faults kind, or a failed initial worker fork)
 //
 // With fault injection disarmed, batch output is bit-identical for every
 // DSMT_THREADS value, and so is each connection's reply byte stream in
 // socket mode — with or without --isolate (worker replies are forwarded
 // byte-verbatim).
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -65,12 +67,19 @@ void print_error(const std::string& message) {
   std::fprintf(stderr, "dsmt_serve: %s\n", message.c_str());
 }
 
+/// Every --name VALUE option main reads. Any other name is a usage error:
+/// a misspelled or retired option must not be silently ignored.
+constexpr const char* kValueOptions[] = {
+    "batch",        "listen",       "tcp",          "queue",
+    "deadline-ms",  "indent",       "cache-dir",    "max-connections",
+    "max-inflight", "tick-ms",      "idle-ticks",   "drain-ticks",
+    "workers",      "rlimit-as-mb", "rlimit-cpu-s", "crash-faults"};
+
 int usage(bool to_stdout = false) {
   std::fprintf(
       to_stdout ? stdout : stderr,
       "usage: dsmt_serve [--batch file.json|-] [--listen SOCKET_PATH]\n"
       "                  [--tcp PORT] [--queue N] [--deadline-ms M]\n"
-      "                  [--breaker-threshold K]\n"
       "                  [--max-connections N] [--max-inflight N]\n"
       "                  [--tick-ms M] [--idle-ticks N] [--drain-ticks N]\n"
       "                  [--isolate] [--workers N] [--rlimit-as-mb N]\n"
@@ -102,9 +111,9 @@ int usage(bool to_stdout = false) {
       "  0  served: every request answered (batch) / clean drain (socket);\n"
       "     worker crashes under --isolate never change the exit code\n"
       "  1  --strict violation: terminal failure response or forced drain\n"
-      "  2  usage, batch-parse, or socket-setup error (--isolate with\n"
-      "     --batch or --cache-dir, bad --crash-faults kind, failed initial\n"
-      "     worker fork)\n");
+      "  2  usage, batch-parse, or socket-setup error (unknown option,\n"
+      "     --isolate with --batch or --cache-dir, bad --crash-faults kind,\n"
+      "     failed initial worker fork)\n");
   return to_stdout ? 0 : 2;
 }
 
@@ -249,8 +258,15 @@ int main(int argc, char** argv) {
       isolate = true;
       continue;
     }
-    if (std::strncmp(argv[i], "--", 2) != 0 || i + 1 >= argc) return usage();
-    opts[arg.substr(2)] = argv[++i];
+    if (std::strncmp(argv[i], "--", 2) != 0) return usage();
+    const std::string name = arg.substr(2);
+    if (std::find(std::begin(kValueOptions), std::end(kValueOptions), name) ==
+        std::end(kValueOptions)) {
+      print_error("unknown option '" + arg + "'");
+      return usage();
+    }
+    if (i + 1 >= argc) return usage();
+    opts[name] = argv[++i];
   }
   if (isolate && opts.count("cache-dir")) {
     print_error("--cache-dir is in-process only and cannot be combined "
@@ -267,8 +283,6 @@ int main(int argc, char** argv) {
       config.deadline_ns =
           static_cast<std::uint64_t>(std::stoull(opts["deadline-ms"])) *
           1000000ULL;
-    if (opts.count("breaker-threshold"))
-      config.breaker.failure_threshold = std::stoi(opts["breaker-threshold"]);
     const int indent = opts.count("indent") ? std::stoi(opts["indent"]) : 2;
 
     // Durable content-addressed solve cache: the segment file is

@@ -216,7 +216,7 @@ std::string SignoffReport::to_json(int indent) const {
   // checkpoint counters) rides along whenever the caller armed one.
   if (const RunContext* run = current_run_context())
     root.set("run", report::run_to_json(*run));
-  // Service front-end state (admission counters, breaker transitions) rides
+  // Service front-end state (admission and outcome counters) rides
   // along whenever a dsmt::service::Server is alive and publishing. Invoked
   // under the slot lock so a Server destroyed concurrently on another
   // thread yields "no section" instead of a use-after-free.

@@ -52,7 +52,7 @@ SignoffReport run_signoff(const tech::Technology& technology,
                           const SignoffOptions& options = {});
 
 /// Registers the provider of the sign-off report's "service" JSON section
-/// (breaker state, admission counters — see service/server.h). `owner`
+/// (admission and outcome counters — see service/server.h). `owner`
 /// identifies the registrant so a stale owner cannot clear a newer one;
 /// the latest registration wins. SignoffReport::to_json invokes the source
 /// while holding the slot lock, so the source must not call back into this

@@ -25,8 +25,6 @@ const char* status_name(StatusCode code) {
       return "cancelled";
     case StatusCode::kRejectedOverload:
       return "rejected-overload";
-    case StatusCode::kBreakerOpen:
-      return "breaker-open";
     case StatusCode::kWorkerCrashed:
       return "worker-crashed";
   }

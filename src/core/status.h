@@ -28,7 +28,6 @@ enum class StatusCode {
   kDeadlineExceeded,  ///< the RunContext monotonic deadline passed mid-solve
   kCancelled,         ///< cooperative cancellation was requested mid-solve
   kRejectedOverload,  ///< request shed at admission: queue above high water
-  kBreakerOpen,       ///< kernel skipped: its circuit breaker is open
   kWorkerCrashed,     ///< isolated worker process died mid-request (signal)
 };
 

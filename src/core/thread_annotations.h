@@ -24,8 +24,8 @@
 // acquisition order is visible to it; see DESIGN.md "Lock hierarchy"):
 //   level 0 (leaf, never held while calling out):
 //     parallel::Pool::mu_, parallel::detail::FirstError::mu,
-//     parallel::detail::BlockLatch::mu_, service::CircuitBreaker::mu_,
-//     core::RunContext::CheckpointLog::mu, numeric::fault g_plan_mu
+//     parallel::detail::BlockLatch::mu_, core::RunContext::CheckpointLog::mu,
+//     numeric::fault g_plan_mu
 //   level 1 (may hold while doing I/O or invoking a registered callback,
 //     must not acquire another level-1 lock):
 //     core::SweepCheckpoint::mu_, core::signoff ServiceSourceSlot::mu,

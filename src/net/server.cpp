@@ -11,7 +11,6 @@
 #include "core/status.h"
 #include "parallel/thread_pool.h"
 #include "report/json.h"
-#include "service/breaker.h"
 #include "service/request.h"
 
 namespace dsmt::net {
@@ -341,16 +340,8 @@ void Server::handle_read_event(Connection& conn, ReadEvent event) {
 }
 
 std::string Server::ping_reply_frame(const report::Json& doc) {
-  const service::CircuitBreaker& breaker = service_.breaker();
   report::Json degradation = report::Json::object();
   degradation.set("analytic_bound", report::Json::boolean(true));
-  report::Json breaker_json = report::Json::object();
-  breaker_json
-      .set("kernel", report::Json::string(breaker.kernel()))
-      .set("state", report::Json::string(
-                        service::breaker_state_name(breaker.state())))
-      .set("opens",
-           report::Json::integer(static_cast<long long>(breaker.opens())));
   report::Json root = report::Json::object();
   root.set("id", report::Json::string(probe_id(doc)))
       .set("kind", report::Json::string("ping"))
@@ -362,7 +353,6 @@ std::string Server::ping_reply_frame(const report::Json& doc) {
       .set("inflight",
            report::Json::integer(static_cast<long long>(
                shared_->outstanding.load(std::memory_order_acquire))))
-      .set("breaker", std::move(breaker_json))
       .set("degradation", std::move(degradation));
   // Solve-cache health, when the in-process service has a cache.
   if (config_.service.solve_cache != nullptr)

@@ -1,7 +1,6 @@
 // The degradation ladder: how a solve or an analytic bound becomes a reply.
 //
-// When the full Eq. 13 solve is unavailable — the request's one solve
-// failed or the kernel's breaker is open — the service still answers
+// When the request's one full Eq. 13 solve fails, the service still answers
 // from rung 2, which is *conservative for j_rms* (and therefore for T_m,
 // which rises monotonically with j_rms):
 //

@@ -1,7 +1,9 @@
 #include "service/request.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <initializer_list>
 #include <stdexcept>
 
 #include "materials/dielectric.h"
@@ -51,6 +53,18 @@ int get_int(const report::Json& node, const char* key, int fallback) {
   return static_cast<int>(v);
 }
 
+/// Rejects any member of the object `node` not named in `known`: a
+/// misspelled field must not silently answer a different question.
+void reject_unknown_members(const report::Json& node, const char* what,
+                            std::initializer_list<const char*> known) {
+  for (std::size_t i = 0; i < node.size(); ++i) {
+    const std::string& key = node.member(i).first;
+    if (std::none_of(known.begin(), known.end(),
+                     [&key](const char* name) { return key == name; }))
+      bad_request(std::string("unknown ") + what + " field '" + key + "'");
+  }
+}
+
 RequestKind kind_from_name(const std::string& name) {
   const std::string k = lower(name);
   if (k == "self-consistent" || k == "sc") return RequestKind::kSelfConsistent;
@@ -94,6 +108,9 @@ const char* kind_name(RequestKind kind) {
 
 Request request_from_json(const report::Json& node) {
   if (!node.is_object()) bad_request("request is not a JSON object");
+  reject_unknown_members(node, "request",
+                         {"id", "kind", "duty_cycle", "j0_MA_cm2", "t_ref_c",
+                          "wire", "technology", "level", "dielectric"});
   Request r;
   r.id = get_string(node, "id", "");
   r.kind = kind_from_name(get_string(node, "kind", "self-consistent"));
@@ -102,6 +119,9 @@ Request request_from_json(const report::Json& node) {
   r.t_ref_c = get_number(node, "t_ref_c", r.t_ref_c);
   if (const report::Json* wire = node.find("wire")) {
     if (!wire->is_object()) bad_request("'wire' is not a JSON object");
+    reject_unknown_members(*wire, "wire",
+                           {"metal", "width_um", "thickness_um",
+                            "dielectric_um", "k_dielectric"});
     r.wire.metal = get_string(*wire, "metal", r.wire.metal);
     r.wire.width_um = get_number(*wire, "width_um", r.wire.width_um);
     r.wire.thickness_um =
@@ -196,8 +216,8 @@ std::vector<Request> parse_batch(const std::string& text) {
 
 LadderProblem build_problem(const Request& r) {
   // Shape errors are classified here as kInvalidInput, before any kernel is
-  // touched: client garbage must never count against the solver's circuit
-  // breaker the way a genuine kernel failure does.
+  // touched: client garbage is reported as the client's fault, never as a
+  // kernel failure.
   if (!std::isfinite(r.duty_cycle) || r.duty_cycle <= 0.0 ||
       r.duty_cycle > 1.0)
     bad_request("duty_cycle must be in (0, 1]");

@@ -5,14 +5,15 @@
 // EM-only reference line of Fig. 2 (kDutyCyclePoint), or a design-rule table
 // cell addressed by technology/level/gap-fill (kTableCell). Requests and
 // responses cross the process boundary as JSON (report/json.h); the codec
-// here is strict — unknown kinds, malformed fields, and non-finite numbers
-// raise dsmt::SolveError (kInvalidInput) instead of guessing.
+// here is strict — unknown kinds, unknown or malformed fields, and
+// non-finite numbers raise dsmt::SolveError (kInvalidInput) instead of
+// guessing.
 //
 // Every response is terminal and structured: success (possibly degraded,
 // with `degradation_level` and a conservative-direction guarantee on j_rms),
 // kRejectedOverload from admission control, or a classified failure. The
-// full SolverDiag chain (the solve attempt, breaker events, degradation
-// rungs) rides along for diagnostics.
+// full SolverDiag chain (the solve attempt and the degradation rung) rides
+// along for diagnostics.
 #pragma once
 
 #include <cstddef>
@@ -85,15 +86,18 @@ struct Response {
   double j_avg_MA_cm2 = 0.0;     ///< allowed average density [MA/cm^2]
   double jpeak_em_only_MA_cm2 = 0.0;  ///< kDutyCyclePoint: j0 / r [MA/cm^2]
 
-  int attempts = 0;  ///< full solves run: 1, or 0 (breaker short-circuited)
-  core::SolverDiag diag;  ///< solve attempt, breaker, degradation
+  /// 1 when the request reached its full solve (a cache hit replays the
+  /// cold reply's 1), 0 when it was answered before it (shed, invalid).
+  int attempts = 0;
+  core::SolverDiag diag;  ///< solve attempt, degradation
   std::string error;      ///< summary when status != kOk
 
   bool ok() const { return status == core::StatusCode::kOk; }
 };
 
 /// Decodes one request object. Unknown/malformed fields raise
-/// dsmt::SolveError (kInvalidInput); absent optional fields keep defaults.
+/// dsmt::SolveError (kInvalidInput) naming the field; absent optional
+/// fields keep defaults.
 Request request_from_json(const report::Json& node);
 
 report::Json request_to_json(const Request& request);

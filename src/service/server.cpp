@@ -16,10 +16,6 @@ namespace dsmt::service {
 
 namespace {
 
-/// The kernel the breaker guards — the only iterative solve on the request
-/// path; the analytic rung below it is closed-form.
-constexpr const char* kSolveKernel = "eq13/solve";
-
 /// The reply a clean solve of `request` gets, rebuilt from a verified
 /// solve-cache hit: byte for byte the cold reply. `ladder` must be
 /// build_problem(request).
@@ -35,9 +31,7 @@ Response replay_hit(const Request& request, const LadderProblem& ladder,
 
 }  // namespace
 
-Server::Server(ServerConfig config)
-    : config_(std::move(config)),
-      breaker_(kSolveKernel, config_.breaker) {
+Server::Server(ServerConfig config) : config_(std::move(config)) {
   if (config_.publish_signoff)
     core::set_signoff_service_source(this, [this] { return service_json(); });
 }
@@ -207,38 +201,28 @@ Response Server::execute(const Request& request) {
     }
   }
 
-  // Rung 0: one full quasi-2D solve, behind the breaker.
+  // Rung 0: one full quasi-2D solve. It is pure, so a failure is a property
+  // of this request's inputs: it steps this request down the ladder and
+  // changes nothing for any other.
+  resp.attempts = 1;
   bool solved = false;
   selfconsistent::Solution solution;
-  core::StatusCode failure = core::StatusCode::kBreakerOpen;
-  if (breaker_.allow()) {
-    resp.attempts = 1;
-    try {
-      solution = selfconsistent::solve_one(ladder.full);
-      solved = true;
-    } catch (const SolveError& e) {
-      failure = e.status();
-      resp.diag.absorb(e.diag(), "service/attempt 1");
-    } catch (const std::bad_alloc&) {
-      // Not a solver failure: the heap refused us mid-solve. Rethrow so
-      // guarded_execute sheds the request as kRejectedOverload instead of
-      // the ladder masking memory pressure with further allocation.
-      breaker_.on_failure(core::StatusCode::kRejectedOverload);
-      throw;
-    } catch (const std::exception& e) {
-      failure = core::StatusCode::kInvalidInput;
-      resp.diag.record("service/attempt", core::StatusCode::kInvalidInput, 1,
-                       0.0, e.what());
-    }
-    if (solved)
-      breaker_.on_success();
-    else
-      breaker_.on_failure(failure);
-  } else {
-    resp.diag.record("service/breaker[" + breaker_.kernel() + "]",
-                     core::StatusCode::kBreakerOpen,
-                     static_cast<int>(breaker_.ticks()), 0.0,
-                     "short-circuited: breaker open");
+  core::StatusCode failure = core::StatusCode::kOk;
+  try {
+    solution = selfconsistent::solve_one(ladder.full);
+    solved = true;
+  } catch (const SolveError& e) {
+    failure = e.status();
+    resp.diag.absorb(e.diag(), "service/attempt 1");
+  } catch (const std::bad_alloc&) {
+    // Not a solver failure: the heap refused us mid-solve. Rethrow so
+    // guarded_execute sheds the request as kRejectedOverload instead of
+    // the ladder masking memory pressure with further allocation.
+    throw;
+  } catch (const std::exception& e) {
+    failure = core::StatusCode::kInvalidInput;
+    resp.diag.record("service/attempt", core::StatusCode::kInvalidInput, 1,
+                     0.0, e.what());
   }
 
   if (solved) {
@@ -321,27 +305,6 @@ report::Json Server::service_json() const {
     cache.set("solve", config_.solve_cache->cache_json());
     root.set("cache", std::move(cache));
   }
-
-  Json breaker = Json::object();
-  breaker.set("kernel", Json::string(breaker_.kernel()))
-      .set("state", Json::string(breaker_state_name(breaker_.state())))
-      .set("ticks",
-           Json::integer(static_cast<long long>(breaker_.ticks())))
-      .set("opens", Json::integer(static_cast<long long>(breaker_.opens())))
-      .set("short_circuits",
-           Json::integer(static_cast<long long>(breaker_.short_circuits())));
-  Json transitions = Json::array();
-  for (const BreakerTransition& t : breaker_.transitions()) {
-    Json entry = Json::object();
-    entry.set("tick", Json::integer(static_cast<long long>(t.tick)))
-        .set("from", Json::string(breaker_state_name(t.from)))
-        .set("to", Json::string(breaker_state_name(t.to)))
-        .set("reason", Json::string(t.reason));
-    transitions.push(std::move(entry));
-  }
-  breaker.set("transitions", std::move(transitions));
-  root.set("breaker", std::move(breaker));
-
   return root;
 }
 

@@ -15,10 +15,10 @@
 //               any tighter ambient deadline of the caller.
 //   cache       With a solve cache attached, one lookup: a verified hit
 //               replays the cold reply's exact bytes and skips the solve.
-//   breaker     One CircuitBreaker guards the "eq13/solve" kernel. A
-//               request it admits gets exactly one full solve (the solve
-//               is pure, so running it again cannot change a failure);
-//               while it is open, requests skip the solve entirely.
+//   solve       A request the cache does not answer gets exactly one full
+//               solve. The solve is pure, so running it again cannot
+//               change a failure, and a failure says nothing about any
+//               other request.
 //   degradation Full quasi-2D solve -> analytic quasi-1D bound
 //               (degrade.h). Degraded responses carry degradation_level
 //               and conservative = true.
@@ -26,7 +26,8 @@
 // Server::execute is the solve cache's only reader and writer: it publishes
 // each canonical solve after answering it. Two concurrent misses on one key
 // each solve; their bytes are identical and the second publish appends
-// nothing.
+// nothing. The cache is the only state requests share, and its hits are
+// byte-identical to cold solves, so a reply depends only on its own request.
 //
 // Responses never escape as exceptions: every request — malformed, shed,
 // failed, degraded — yields exactly one terminal Response. With fault
@@ -44,7 +45,6 @@
 
 #include "cache/solve_cache.h"
 #include "report/json.h"
-#include "service/breaker.h"
 #include "service/degrade.h"
 #include "service/request.h"
 
@@ -56,7 +56,6 @@ struct ServerConfig {
   /// Per-request deadline budget [ns] (0 = none). Merged with any tighter
   /// ambient deadline already installed by the caller.
   std::uint64_t deadline_ns = 0;
-  BreakerConfig breaker{};
   /// Publish this server's service_json() under the sign-off "service" key
   /// (core/signoff.h) for the server's lifetime.
   bool publish_signoff = true;
@@ -94,12 +93,10 @@ class Server {
   Response handle(const Request& request, std::size_t index = 0);
 
   ServerMetrics metrics() const;
-  const CircuitBreaker& breaker() const { return breaker_; }
   const ServerConfig& config() const { return config_; }
 
-  /// The sign-off "service" section: admission/outcome counters, the solve
-  /// cache's counters when one is attached, and the breaker's state and
-  /// full transition history.
+  /// The sign-off "service" section: admission/outcome counters, and the
+  /// solve cache's counters when one is attached.
   report::Json service_json() const;
 
  private:
@@ -108,7 +105,6 @@ class Server {
   Response shed_response(const Request& request);
 
   const ServerConfig config_;
-  CircuitBreaker breaker_;
   std::atomic<std::uint64_t> received_{0};
   std::atomic<std::uint64_t> admitted_{0};
   std::atomic<std::uint64_t> shed_{0};

@@ -54,8 +54,7 @@ StatusCode status_from_name(const std::string& name) {
       StatusCode::kNoBracket,    StatusCode::kMaxIterations,
       StatusCode::kNonFinite,    StatusCode::kSingularSystem,
       StatusCode::kDeadlineExceeded, StatusCode::kCancelled,
-      StatusCode::kRejectedOverload, StatusCode::kBreakerOpen,
-      StatusCode::kWorkerCrashed,
+      StatusCode::kRejectedOverload, StatusCode::kWorkerCrashed,
   };
   for (const StatusCode code : kCodes)
     if (name == core::status_name(code)) return code;

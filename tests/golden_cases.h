@@ -337,18 +337,6 @@ inline Replies reply_corpus() {
                                                  1)));
   }
   {
-    // The first failure opens the breaker; the next request never reaches
-    // the solver.
-    service::ServerConfig config = corpus::quiet();
-    config.breaker.failure_threshold = 1;
-    service::Server server(config);
-    ScopedFault fault(corpus::dead_solver());
-    (void)server.handle(corpus::wire("trip", 0.1), 0);
-    out.emplace_back("degraded/breaker-open",
-                     corpus::bytes(server.handle(
-                         corpus::wire("breaker-open", 0.3), 1)));
-  }
-  {
     service::Server server(corpus::quiet());
     ScopedFault fault(corpus::dead_solver());
     out.emplace_back("degraded/retries-exhausted",

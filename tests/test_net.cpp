@@ -455,7 +455,7 @@ TEST_F(NetServerTest, RejectsRequestsBeyondInflightCapWithWellFormedFrame) {
   EXPECT_EQ(stats.rejected_inflight, 1u);
 }
 
-TEST_F(NetServerTest, PingReportsBreakerAndDegradationState) {
+TEST_F(NetServerTest, PingReportsHealthAndDegradationState) {
   start();
   Client client(path());
   ASSERT_TRUE(client.connected());
@@ -470,11 +470,11 @@ TEST_F(NetServerTest, PingReportsBreakerAndDegradationState) {
   const report::Json* draining = doc.find("draining");
   ASSERT_NE(draining, nullptr);
   EXPECT_FALSE(draining->as_bool());
-  const report::Json* breaker = doc.find("breaker");
-  ASSERT_NE(breaker, nullptr);
-  const report::Json* state = breaker->find("state");
-  ASSERT_NE(state, nullptr);
-  EXPECT_EQ(state->as_string(), "closed");
+  const report::Json* connections = doc.find("connections");
+  ASSERT_NE(connections, nullptr);
+  EXPECT_EQ(connections->as_integer(), 1);
+  EXPECT_NE(doc.find("inflight"), nullptr);
+  EXPECT_EQ(doc.find("breaker"), nullptr);
   const report::Json* degradation = doc.find("degradation");
   ASSERT_NE(degradation, nullptr);
   const report::Json* analytic = degradation->find("analytic_bound");

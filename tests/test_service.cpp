@@ -1,10 +1,11 @@
 // Service-layer robustness suite (ctest label `service`): deterministic
-// backoff (the worker-restart pacing schedule), breaker state machine under
-// ScopedFault injection, bounded admission with explicit shedding, the
-// conservative degradation ladder, and bit-identical batch responses across
-// thread counts. Arms process-global fault plans and mutates the global
-// thread count, so it lives in its own executable like the fault-injection
-// and resilience suites.
+// backoff (the worker-restart pacing schedule), bounded admission with
+// explicit shedding, the conservative degradation ladder under ScopedFault
+// injection, the strict request codec, and batch responses that are
+// bit-identical across thread counts and depend only on their own request.
+// Arms process-global fault plans and mutates the global thread count, so
+// it lives in its own executable like the fault-injection and resilience
+// suites.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -95,212 +96,47 @@ TEST(Retry, ScheduleBitwiseIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial, wide);
 }
 
-// --- breaker state machine ---------------------------------------------------
-
-TEST(Breaker, ClosedOpenHalfOpenClosed) {
-  BreakerConfig cfg;
-  cfg.failure_threshold = 2;
-  cfg.open_ticks = 2;
-  cfg.half_open_successes = 1;
-  CircuitBreaker breaker("kernel-under-test", cfg);
-  EXPECT_EQ(breaker.state(), BreakerState::kClosed);
-
-  ASSERT_TRUE(breaker.allow());  // tick 1
-  breaker.on_failure(core::StatusCode::kNonFinite);
-  EXPECT_EQ(breaker.state(), BreakerState::kClosed);
-  ASSERT_TRUE(breaker.allow());  // tick 2
-  breaker.on_failure(core::StatusCode::kNonFinite);
-  EXPECT_EQ(breaker.state(), BreakerState::kOpen);
-
-  EXPECT_FALSE(breaker.allow());  // tick 3: cooling
-  EXPECT_FALSE(breaker.allow());  // tick 4: cooling
-  ASSERT_TRUE(breaker.allow());   // tick 5: half-open probe admitted
-  EXPECT_EQ(breaker.state(), BreakerState::kHalfOpen);
-  breaker.on_failure(core::StatusCode::kMaxIterations);  // probe fails
-  EXPECT_EQ(breaker.state(), BreakerState::kOpen);
-
-  EXPECT_FALSE(breaker.allow());  // tick 6
-  EXPECT_FALSE(breaker.allow());  // tick 7
-  ASSERT_TRUE(breaker.allow());   // tick 8: probe again
-  breaker.on_success();
-  EXPECT_EQ(breaker.state(), BreakerState::kClosed);
-
-  EXPECT_EQ(breaker.opens(), 2u);
-  EXPECT_EQ(breaker.short_circuits(), 4u);
-  const std::vector<BreakerTransition> log = breaker.transitions();
-  ASSERT_EQ(log.size(), 5u);
-  EXPECT_EQ(log[0].to, BreakerState::kOpen);
-  EXPECT_EQ(log[1].to, BreakerState::kHalfOpen);
-  EXPECT_EQ(log[2].to, BreakerState::kOpen);
-  EXPECT_EQ(log[3].to, BreakerState::kHalfOpen);
-  EXPECT_EQ(log[4].to, BreakerState::kClosed);
-
-  core::SolverDiag diag;
-  breaker.record_into(diag);
-  ASSERT_EQ(diag.chain.size(), 5u);
-  EXPECT_EQ(diag.chain[0].kernel, "service/breaker[kernel-under-test]");
-  EXPECT_EQ(diag.chain[0].status, core::StatusCode::kBreakerOpen);
-  EXPECT_EQ(diag.chain[4].status, core::StatusCode::kOk);
-}
-
-TEST(Breaker, HalfOpenAdmitsOneProbeAtATime) {
-  BreakerConfig cfg;
-  cfg.failure_threshold = 1;
-  cfg.open_ticks = 1;
-  CircuitBreaker breaker("k", cfg);
-  ASSERT_TRUE(breaker.allow());
-  breaker.on_failure(core::StatusCode::kNonFinite);
-  EXPECT_FALSE(breaker.allow());  // cooling
-  ASSERT_TRUE(breaker.allow());   // the probe slot
-  EXPECT_FALSE(breaker.allow());  // probe in flight: everyone else waits
-  breaker.on_success();
-  EXPECT_TRUE(breaker.allow());   // closed again
-  breaker.on_success();
-}
-
-TEST(Breaker, NonCountingProbeFailureReleasesTheProbeSlot) {
-  // A half-open probe that ends in a deadline/cancel or kInvalidInput says
-  // nothing about kernel health, but it still terminates the allowed
-  // attempt: the probe slot must come back, or the breaker wedges with
-  // probe_in_flight_ stuck true and every later allow() short-circuits.
-  BreakerConfig cfg;
-  cfg.failure_threshold = 1;
-  cfg.open_ticks = 1;
-  CircuitBreaker breaker("k", cfg);
-  ASSERT_TRUE(breaker.allow());
-  breaker.on_failure(core::StatusCode::kNonFinite);  // opens
-  EXPECT_FALSE(breaker.allow());                     // cooling
-  ASSERT_TRUE(breaker.allow());                      // probe slot claimed
-  breaker.on_failure(core::StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(breaker.state(), BreakerState::kHalfOpen);
-  ASSERT_TRUE(breaker.allow());  // fresh probe, not wedged
-  breaker.on_failure(core::StatusCode::kCancelled);
-  ASSERT_TRUE(breaker.allow());
-  breaker.on_failure(core::StatusCode::kInvalidInput);
-  ASSERT_TRUE(breaker.allow());
-  breaker.on_success();  // kernel is actually fine: probe closes it
-  EXPECT_EQ(breaker.state(), BreakerState::kClosed);
-  ASSERT_TRUE(breaker.allow());
-  breaker.on_success();
-}
-
-TEST(Breaker, InterruptionsAndBadInputDoNotCount) {
-  BreakerConfig cfg;
-  cfg.failure_threshold = 1;
-  CircuitBreaker breaker("k", cfg);
-  ASSERT_TRUE(breaker.allow());
-  breaker.on_failure(core::StatusCode::kDeadlineExceeded);
-  ASSERT_TRUE(breaker.allow());
-  breaker.on_failure(core::StatusCode::kCancelled);
-  ASSERT_TRUE(breaker.allow());
-  breaker.on_failure(core::StatusCode::kInvalidInput);
-  EXPECT_EQ(breaker.state(), BreakerState::kClosed);
-  ASSERT_TRUE(breaker.allow());
-  breaker.on_failure(core::StatusCode::kNonFinite);  // a real one: trips
-  EXPECT_EQ(breaker.state(), BreakerState::kOpen);
-}
-
-TEST(Breaker, FullCycleDrivenByScopedFaultThroughServer) {
-  ServerConfig cfg = quiet_config();
-  cfg.breaker.failure_threshold = 2;
-  cfg.breaker.open_ticks = 1;
-  Server server(cfg);
-
-  // A healthy full solve of the very geometry the faults below will hit.
-  const Response solved = server.handle(wire_request("solved"), 0);
-  ASSERT_TRUE(solved.ok());
-  ASSERT_EQ(solved.degradation_level, DegradationLevel::kFull);
-
-  std::vector<Response> responses;
-  {
-    ScopedFault fault(kill_solver());
-    for (int i = 0; i < 4; ++i)
-      responses.push_back(
-          server.handle(wire_request("f" + std::to_string(i)), 0));
-  }
-  // Faults disarmed again. The reopen above restarted the cooling window,
-  // so one more poll short-circuits, then the probe is admitted, succeeds,
-  // and closes the breaker.
-  responses.push_back(server.handle(wire_request("cooling"), 0));
-  responses.push_back(server.handle(wire_request("probe"), 0));
-  responses.push_back(server.handle(wire_request("after"), 0));
-
-  // Every response while the solver was unavailable still answered,
-  // degraded and conservative, via the analytic rung.
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_TRUE(responses[i].ok()) << i;
-    EXPECT_TRUE(responses[i].degraded) << i;
-    EXPECT_EQ(responses[i].degradation_level,
-              DegradationLevel::kAnalyticBound) << i;
-    EXPECT_TRUE(responses[i].conservative) << i;
-  }
-  EXPECT_EQ(responses[0].attempts, 1);
-  EXPECT_EQ(responses[1].attempts, 1);   // second failure opens the breaker
-  EXPECT_EQ(responses[2].attempts, 0);   // short-circuited (cooling)
-  EXPECT_EQ(responses[3].attempts, 1);   // half-open probe, fails, reopens
-  EXPECT_EQ(responses[4].attempts, 0);   // cooling again after the reopen
-  // The geometry solved above is answered by the analytic rung while the
-  // breaker is open, below its own full solve.
-  EXPECT_LE(responses[2].j_rms_MA_cm2, solved.j_rms_MA_cm2);
-  EXPECT_LE(responses[4].j_rms_MA_cm2, solved.j_rms_MA_cm2);
-  EXPECT_EQ(responses[5].attempts, 1);   // probe after disarm: succeeds
-  EXPECT_FALSE(responses[5].degraded);
-  EXPECT_EQ(responses[5].degradation_level, DegradationLevel::kFull);
-  EXPECT_FALSE(responses[6].degraded);
-  EXPECT_EQ(server.breaker().state(), BreakerState::kClosed);
-
-  // The transition history tells the whole story, in order.
-  std::vector<BreakerState> to;
-  for (const BreakerTransition& t : server.breaker().transitions())
-    to.push_back(t.to);
-  const std::vector<BreakerState> expected = {
-      BreakerState::kOpen, BreakerState::kHalfOpen, BreakerState::kOpen,
-      BreakerState::kHalfOpen, BreakerState::kClosed};
-  EXPECT_EQ(to, expected);
-
-  // And the same history lands under the sign-off "service" key while the
-  // server is alive (it was created with publish_signoff=false, so register
-  // a publishing one to check the plumbing).
-  {
-    ServerConfig pub = quiet_config();
-    pub.publish_signoff = true;
-    Server publisher(pub);
-    auto source = core::signoff_service_source();
-    ASSERT_TRUE(static_cast<bool>(source));
-    const report::Json section = source();
-    EXPECT_NE(section.find("breaker"), nullptr);
-    EXPECT_NE(section.find("queue"), nullptr);
-  }
-  EXPECT_FALSE(static_cast<bool>(core::signoff_service_source()));
-}
-
 // --- admission control -------------------------------------------------------
 
 TEST(Admission, ShedsBeyondQueueCapacityDeterministically) {
-  ServerConfig cfg = quiet_config();
-  cfg.queue_capacity = 4;
-  Server server(cfg);
-  std::vector<Request> batch;
-  for (int i = 0; i < 10; ++i)
-    batch.push_back(wire_request("r" + std::to_string(i)));
-  const std::vector<Response> responses = server.submit_batch(batch);
-  ASSERT_EQ(responses.size(), batch.size());
-  for (std::size_t i = 0; i < responses.size(); ++i) {
-    EXPECT_EQ(responses[i].id, batch[i].id);
-    if (i < 4) {
-      EXPECT_TRUE(responses[i].ok()) << i;
-    } else {
-      EXPECT_EQ(responses[i].status, core::StatusCode::kRejectedOverload)
-          << i;
-      EXPECT_FALSE(responses[i].error.empty());
-      EXPECT_FALSE(responses[i].diag.chain.empty());
+  {
+    ServerConfig cfg;  // publishes its section under the sign-off key
+    cfg.queue_capacity = 4;
+    Server server(cfg);
+    std::vector<Request> batch;
+    for (int i = 0; i < 10; ++i)
+      batch.push_back(wire_request("r" + std::to_string(i)));
+    const std::vector<Response> responses = server.submit_batch(batch);
+    ASSERT_EQ(responses.size(), batch.size());
+    for (std::size_t i = 0; i < responses.size(); ++i) {
+      EXPECT_EQ(responses[i].id, batch[i].id);
+      if (i < 4) {
+        EXPECT_TRUE(responses[i].ok()) << i;
+      } else {
+        EXPECT_EQ(responses[i].status, core::StatusCode::kRejectedOverload)
+            << i;
+        EXPECT_FALSE(responses[i].error.empty());
+        EXPECT_FALSE(responses[i].diag.chain.empty());
+      }
     }
+    const ServerMetrics m = server.metrics();
+    EXPECT_EQ(m.received, 10u);
+    EXPECT_EQ(m.admitted, 4u);
+    EXPECT_EQ(m.shed, 6u);
+    EXPECT_EQ(m.ok_full, 4u);
+
+    // The same counters land under the sign-off "service" key while the
+    // server is alive.
+    auto source = core::signoff_service_source();
+    ASSERT_TRUE(static_cast<bool>(source));
+    const report::Json section = source();
+    const report::Json* queue = section.find("queue");
+    ASSERT_NE(queue, nullptr);
+    EXPECT_EQ(queue->find("shed")->as_integer(), 6);
+    EXPECT_NE(section.find("outcomes"), nullptr);
+    EXPECT_EQ(section.find("breaker"), nullptr);
   }
-  const ServerMetrics m = server.metrics();
-  EXPECT_EQ(m.received, 10u);
-  EXPECT_EQ(m.admitted, 4u);
-  EXPECT_EQ(m.shed, 6u);
-  EXPECT_EQ(m.ok_full, 4u);
+  EXPECT_FALSE(static_cast<bool>(core::signoff_service_source()));
 }
 
 TEST(Admission, ChaosBatchAlwaysGetsTerminalStructuredResponses) {
@@ -347,6 +183,17 @@ TEST(Admission, BatchBitwiseIdenticalAcrossThreadCountsWhenDisarmed) {
   ThreadCountGuard guard;
   std::vector<Request> batch;
   for (int i = 0; i < 48; ++i) {
+    if (i == 10) {
+      // A run of requests whose own solve fails (no sign change below
+      // t_ref + 5000 K at this j0). Each steps down the ladder on its own
+      // account; none may change the answer to any other request.
+      for (int k = 0; k < 6; ++k) {
+        Request hot;
+        hot.id = "hot-" + std::to_string(k);
+        hot.j0_MA_cm2 = 1e7;
+        batch.push_back(hot);
+      }
+    }
     if (i % 11 == 7) {
       // A malformed request rides along: its structured kInvalidInput
       // response must be deterministic too.
@@ -367,14 +214,19 @@ TEST(Admission, BatchBitwiseIdenticalAcrossThreadCountsWhenDisarmed) {
                                    0.35 + 0.02 * (i % 9)));
     }
   }
+  constexpr std::size_t kCapacity = 32;  // some shedding in the payload too
+  std::vector<std::string> replies;
   auto payload_at = [&](std::size_t threads) {
     parallel::set_thread_count(threads);
     ServerConfig cfg = quiet_config();
-    cfg.queue_capacity = 32;  // some shedding in the payload too
+    cfg.queue_capacity = kCapacity;
     Server server(cfg);
+    replies.clear();
     std::string payload;
-    for (const Response& resp : server.submit_batch(batch))
-      payload += response_to_json(resp).dump(2) + "\n";
+    for (const Response& resp : server.submit_batch(batch)) {
+      replies.push_back(response_to_json(resp).dump(2));
+      payload += replies.back() + "\n";
+    }
     return payload;
   };
   const std::string serial = payload_at(1);
@@ -382,6 +234,21 @@ TEST(Admission, BatchBitwiseIdenticalAcrossThreadCountsWhenDisarmed) {
   EXPECT_EQ(serial, wide);
   EXPECT_NE(serial.find("rejected-overload"), std::string::npos);
   EXPECT_NE(serial.find("invalid-input"), std::string::npos);
+
+  // Every admitted reply is the one a fresh server gives that request
+  // alone: requests share no state but the solve cache.
+  ASSERT_EQ(replies.size(), batch.size());
+  std::size_t failed_solves = 0;
+  for (std::size_t i = 0; i < kCapacity; ++i) {
+    Server fresh(quiet_config());
+    const Response alone = fresh.handle(batch[i]);
+    EXPECT_EQ(replies[i], response_to_json(alone).dump(2)) << batch[i].id;
+    if (alone.degraded) {
+      ++failed_solves;
+      EXPECT_EQ(alone.attempts, 1) << batch[i].id;
+    }
+  }
+  EXPECT_EQ(failed_solves, 6u);
 }
 
 // --- degradation ladder ------------------------------------------------------
@@ -452,12 +319,15 @@ TEST(Codec, RequestRoundTripsThroughJson) {
 }
 
 TEST(Codec, MalformedRequestsClassifyAsInvalidInput) {
-  auto expect_invalid = [](const std::string& text) {
+  auto expect_invalid = [](const std::string& text,
+                           const std::string& names = "") {
     try {
       parse_batch(text);
       FAIL() << "expected SolveError for: " << text;
     } catch (const SolveError& e) {
       EXPECT_EQ(e.status(), core::StatusCode::kInvalidInput) << text;
+      EXPECT_NE(std::string(e.what()).find(names), std::string::npos)
+          << e.what();
     }
   };
   expect_invalid("42");                               // not a batch shape
@@ -467,6 +337,9 @@ TEST(Codec, MalformedRequestsClassifyAsInvalidInput) {
   expect_invalid("[{\"wire\": 3}]");
   expect_invalid("[{\"kind\": \"table\"}]");          // missing technology
   expect_invalid("[oops]");                           // not JSON at all
+  // A misspelled field must not silently fall back to its default.
+  expect_invalid("[{\"duty\": 0.5}]", "'duty'");
+  expect_invalid("[{\"wire\": {\"width\": 0.3}}]", "'width'");
   // 'level' outside int range or non-integral must classify, not hit a
   // double->int cast whose out-of-range behavior is undefined.
   expect_invalid(
@@ -494,8 +367,6 @@ TEST(Codec, MalformedRequestsClassifyAsInvalidInput) {
   unknown_metal.wire.metal = "unobtainium";
   EXPECT_EQ(server.handle(unknown_metal, 0).status,
             core::StatusCode::kInvalidInput);
-  // ... and never move the breaker.
-  EXPECT_EQ(server.breaker().state(), BreakerState::kClosed);
   EXPECT_EQ(server.metrics().failed, 2u);
 }
 

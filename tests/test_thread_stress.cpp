@@ -23,7 +23,6 @@
 #include "parallel/parallel_for.h"
 #include "parallel/thread_pool.h"
 #include "report/json.h"
-#include "service/breaker.h"
 
 namespace {
 
@@ -106,78 +105,6 @@ TEST(ThreadStress, NestedParallelFromCallerBlockRunsInline) {
   for (int s : sums) EXPECT_EQ(s, 64);
   EXPECT_FALSE(dsmt::parallel::in_parallel_region());
   dsmt::parallel::set_thread_count(0);
-}
-
-// ---------------------------------------------------------------------------
-// CircuitBreaker: 8 threads hammer the allow/answer protocol while an armed
-// ScopedFault makes every attempted "kernel" fail, driving the breaker
-// around its full Closed -> Open -> HalfOpen cycle under contention.
-
-TEST(ThreadStress, BreakerTransitionsUnderArmedFault) {
-  dsmt::numeric::fault::FaultPlan plan;
-  plan.kind = dsmt::numeric::fault::FaultKind::kNanResidual;
-  plan.kernel_substr = "stress/kernel";
-  dsmt::numeric::fault::ScopedFault fault(plan);
-
-  dsmt::service::BreakerConfig config;
-  config.failure_threshold = 3;
-  config.open_ticks = 5;
-  dsmt::service::CircuitBreaker breaker("stress/kernel", config);
-
-  std::atomic<std::uint64_t> attempts{0};
-  std::atomic<std::uint64_t> shed{0};
-  std::vector<std::thread> attackers;
-  attackers.reserve(kAttackers);
-  for (std::size_t a = 0; a < kAttackers; ++a) {
-    attackers.emplace_back([&] {
-      for (int i = 0; i < 500; ++i) {
-        if (breaker.allow()) {
-          attempts.fetch_add(1, std::memory_order_relaxed);
-          // The armed fault poisons the residual for our kernel name: the
-          // attempt deterministically fails, and the failure is charged to
-          // the breaker like a real kernel failure would be.
-          const double r = dsmt::numeric::fault::filter_residual(
-              "stress/kernel", /*iteration=*/1, /*residual=*/1e-9);
-          ASSERT_TRUE(r != r) << "armed kNanResidual must poison residuals";
-          breaker.on_failure(dsmt::core::StatusCode::kNonFinite);
-        } else {
-          shed.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (auto& t : attackers) t.join();
-
-  // Every poll either attempted or was shed; ticks count the polls.
-  EXPECT_EQ(attempts.load() + shed.load(), kAttackers * 500u);
-  EXPECT_EQ(breaker.ticks(), kAttackers * 500u);
-  EXPECT_EQ(breaker.short_circuits(), shed.load());
-  // All attempts failed, so the breaker must have opened, and more than once
-  // (half-open probes keep failing).
-  EXPECT_GE(breaker.opens(), 2u);
-
-  // The recorded transition chain is legal: each edge starts where the
-  // previous one ended, and every edge is one of the machine's real edges.
-  const auto transitions = breaker.transitions();
-  ASSERT_FALSE(transitions.empty());
-  dsmt::service::BreakerState at = dsmt::service::BreakerState::kClosed;
-  std::uint64_t last_tick = 0;
-  for (const auto& tr : transitions) {
-    EXPECT_EQ(tr.from, at);
-    EXPECT_GE(tr.tick, last_tick);
-    const bool legal_edge =
-        (tr.from == dsmt::service::BreakerState::kClosed &&
-         tr.to == dsmt::service::BreakerState::kOpen) ||
-        (tr.from == dsmt::service::BreakerState::kOpen &&
-         tr.to == dsmt::service::BreakerState::kHalfOpen) ||
-        (tr.from == dsmt::service::BreakerState::kHalfOpen &&
-         tr.to == dsmt::service::BreakerState::kOpen) ||
-        (tr.from == dsmt::service::BreakerState::kHalfOpen &&
-         tr.to == dsmt::service::BreakerState::kClosed);
-    EXPECT_TRUE(legal_edge) << "illegal transition at tick " << tr.tick;
-    at = tr.to;
-    last_tick = tr.tick;
-  }
 }
 
 // ---------------------------------------------------------------------------

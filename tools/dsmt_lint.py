@@ -73,8 +73,8 @@ Rules (library code under src/ only — tests/bench/examples are exempt):
                   through the batch API (solve_batch / solve_one,
                   selfconsistent/batch.h): a raw scalar
                   `selfconsistent::solve(` or `numeric::brent_robust(` call
-                  there quietly reverts the path to one-Brent-per-lane and
-                  falls off the committed BENCH_* perf trajectory.
+                  there quietly reverts the path to one-Brent-per-lane
+                  and bypasses the batch kernel that perf/ measures.
                   selfconsistent/solver.cpp is the exempt home — it IS the
                   scalar chain the batch API transcribes. Look-alikes
                   (`solve_one(`, `solve_batch(`, `resolve(`, member
@@ -205,9 +205,9 @@ RAW_LOCK_RE = re.compile(
 
 # R10 heuristic vocabulary. Primitive and standard-container types whose
 # mutation from two threads is a data race; internally synchronized class
-# types (CircuitBreaker, SolveCache, ...) and smart-pointer handles are
-# deliberately not matched — their pointees are judged at their own
-# declarations.
+# types (cache::SolveCache, supervise::WorkerPool, ...) and smart-pointer
+# handles are deliberately not matched — their pointees are judged at their
+# own declarations.
 R10_TYPES = (
     r"(?:bool|char|short|int|long|unsigned|float|double|size_t|"
     r"std::size_t|std::u?int\d+_t|std::string|std::vector|std::deque|"
@@ -268,9 +268,8 @@ EINTR_SPAN = 8
 EINTR_RE = re.compile(r"\bEINTR\b")
 
 # The many-instance Eq.-13 hot paths (R12): every solver entry there must be
-# solve_batch / solve_one so the SoA batch core (and its bench trajectory)
-# cannot be silently bypassed. selfconsistent/solver.cpp is the exempt home
-# of the scalar chain itself.
+# solve_batch / solve_one so the SoA batch core cannot be silently bypassed.
+# selfconsistent/solver.cpp is the exempt home of the scalar chain itself.
 R12_HOT_PATH_PREFIXES = ("service/",)
 R12_HOT_PATH_FILES = {
     "selfconsistent/sweep.cpp",
