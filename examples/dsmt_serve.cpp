@@ -12,7 +12,8 @@
 // front end (dsmt::net::Server) speaking DSM1-framed request/response JSON
 // until SIGTERM/SIGINT, then drains gracefully — stop accepting, finish or
 // deadline-out in-flight work, flush — and prints the sign-off report
-// (connection counters plus the service section) on stdout before exiting.
+// (connection counters plus the service section, or under --isolate the
+// supervise section) on stdout before exiting.
 //
 // Process isolation (--isolate, socket mode only): solves run in forked
 // worker children supervised by dsmt::supervise::WorkerPool instead of in
@@ -35,7 +36,8 @@
 //   1  --strict violation: a terminal failure response (batch) or a forced
 //      drain (socket)
 //   2  usage, batch-parse, or socket-setup errors (an option it does not
-//      know, --isolate with --batch or with --cache-dir, unknown
+//      know, a numeric value that is not a whole integer in the option's
+//      range, --isolate with --batch or with --cache-dir, unknown
 //      --crash-faults kind, or a failed initial worker fork)
 //
 // With fault injection disarmed, batch output is bit-identical for every
@@ -43,13 +45,18 @@
 // socket mode — with or without --isolate (worker replies are forwarded
 // byte-verbatim).
 #include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "net/server.h"
@@ -74,6 +81,24 @@ constexpr const char* kValueOptions[] = {
     "deadline-ms",  "indent",       "cache-dir",    "max-connections",
     "max-inflight", "tick-ms",      "idle-ticks",   "drain-ticks",
     "workers",      "rlimit-as-mb", "rlimit-cpu-s", "crash-faults"};
+
+/// The value of --name as one whole base-10 T no larger than `max`; an
+/// unsigned T takes no sign. Anything else ("1e3", "-1" for a count,
+/// "70000" for a port, trailing bytes, overflow) throws, so main exits 2
+/// naming the option instead of serving a misread number.
+template <typename T>
+T integer_option(const std::map<std::string, std::string>& opts,
+                 const std::string& name,
+                 T max = std::numeric_limits<T>::max()) {
+  const std::string& text = opts.at(name);
+  const char* end = text.data() + text.size();
+  T value{};
+  const std::from_chars_result parsed =
+      std::from_chars(text.data(), end, value);
+  if (parsed.ec != std::errc{} || parsed.ptr != end || value > max)
+    throw std::invalid_argument("invalid value '" + text + "' for --" + name);
+  return value;
+}
 
 int usage(bool to_stdout = false) {
   std::fprintf(
@@ -112,8 +137,8 @@ int usage(bool to_stdout = false) {
       "     worker crashes under --isolate never change the exit code\n"
       "  1  --strict violation: terminal failure response or forced drain\n"
       "  2  usage, batch-parse, or socket-setup error (unknown option,\n"
-      "     --isolate with --batch or --cache-dir, bad --crash-faults kind,\n"
-      "     failed initial worker fork)\n");
+      "     invalid numeric value, --isolate with --batch or --cache-dir,\n"
+      "     bad --crash-faults kind, failed initial worker fork)\n");
   return to_stdout ? 0 : 2;
 }
 
@@ -230,8 +255,12 @@ int run_socket(const net::NetConfig& config, bool strict, int indent,
       .set("drained_clean", report::Json::boolean(stats.drained_clean));
   report::Json root = report::Json::object();
   root.set("net", std::move(net_json));
-  root.set("service", server.service().service_json());
-  if (pool != nullptr) root.set("supervise", pool->supervise_json());
+  // Under --isolate the in-process service never runs: its counters would
+  // all read 0, and "supervise" carries the real ones.
+  if (pool == nullptr)
+    root.set("service", server.service().service_json());
+  else
+    root.set("supervise", pool->supervise_json());
   std::printf("%s\n", root.dump(indent).c_str());
 
   if (!stats.drained_clean) {
@@ -276,14 +305,16 @@ int main(int argc, char** argv) {
 
   try {
     service::ServerConfig config;
+    constexpr std::uint64_t kNsPerMs = 1000000;
     if (opts.count("queue"))
-      config.queue_capacity =
-          static_cast<std::size_t>(std::stoul(opts["queue"]));
+      config.queue_capacity = integer_option<std::size_t>(opts, "queue");
     if (opts.count("deadline-ms"))
       config.deadline_ns =
-          static_cast<std::uint64_t>(std::stoull(opts["deadline-ms"])) *
-          1000000ULL;
-    const int indent = opts.count("indent") ? std::stoi(opts["indent"]) : 2;
+          integer_option<std::uint64_t>(opts, "deadline-ms",
+                                        UINT64_MAX / kNsPerMs) *
+          kNsPerMs;
+    const int indent =
+        opts.count("indent") ? integer_option<int>(opts, "indent") : 2;
 
     // Durable content-addressed solve cache: the segment file is
     // recovered/repaired here, before any server thread exists.
@@ -314,21 +345,22 @@ int main(int argc, char** argv) {
       net_config.endpoint.path = opts["listen"];
     } else {
       net_config.endpoint.kind = net::Endpoint::Kind::kTcp;
-      net_config.endpoint.port =
-          static_cast<std::uint16_t>(std::stoi(opts["tcp"]));
+      net_config.endpoint.port = integer_option<std::uint16_t>(opts, "tcp");
     }
     if (opts.count("max-connections"))
       net_config.max_connections =
-          static_cast<std::size_t>(std::stoul(opts["max-connections"]));
+          integer_option<std::size_t>(opts, "max-connections");
     if (opts.count("max-inflight"))
       net_config.max_inflight_total =
-          static_cast<std::size_t>(std::stoul(opts["max-inflight"]));
+          integer_option<std::size_t>(opts, "max-inflight");
     if (opts.count("tick-ms"))
-      net_config.tick_ms = std::stoi(opts["tick-ms"]);
+      net_config.tick_ms = integer_option<int>(opts, "tick-ms");
     if (opts.count("idle-ticks"))
-      net_config.idle_timeout_ticks = std::stoull(opts["idle-ticks"]);
+      net_config.idle_timeout_ticks =
+          integer_option<std::uint64_t>(opts, "idle-ticks");
     if (opts.count("drain-ticks"))
-      net_config.drain_timeout_ticks = std::stoull(opts["drain-ticks"]);
+      net_config.drain_timeout_ticks =
+          integer_option<std::uint64_t>(opts, "drain-ticks");
     // The request budget mirrors the service deadline so socket callers get
     // the same per-request guarantee as batch callers.
     net_config.request_deadline_ns = config.deadline_ns;
@@ -338,14 +370,14 @@ int main(int argc, char** argv) {
     supervise::SuperviseConfig sup;
     sup.service = config;  // the CHILD-side service configuration
     if (opts.count("workers"))
-      sup.workers = static_cast<std::size_t>(std::stoul(opts["workers"]));
+      sup.workers = integer_option<std::size_t>(opts, "workers");
     if (opts.count("rlimit-as-mb"))
       sup.limits.rlimit_as_bytes =
-          static_cast<std::uint64_t>(std::stoull(opts["rlimit-as-mb"]))
+          integer_option<std::uint64_t>(opts, "rlimit-as-mb", UINT64_MAX >> 20)
           << 20;
     if (opts.count("rlimit-cpu-s"))
       sup.limits.rlimit_cpu_seconds =
-          static_cast<std::uint64_t>(std::stoull(opts["rlimit-cpu-s"]));
+          integer_option<std::uint64_t>(opts, "rlimit-cpu-s");
     if (opts.count("crash-faults") &&
         !parse_crash_faults(opts["crash-faults"], sup.limits.child_fault)) {
       print_error("--crash-faults: unknown kind in '" +

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstddef>
+#include <utility>
 
 #include "core/status.h"
 
@@ -57,6 +58,38 @@ void put_string(std::string& out, const std::string& s) {
 /// in a decoded header is corruption, not data.
 constexpr std::uint32_t kMaxKeyBytes = 1u << 20;
 
+/// Bounds-checked cursor over canonical_key's layout: a read that would
+/// run past the end fails instead of touching bytes that are not there.
+struct KeyReader {
+  std::string_view rest;
+
+  bool take(std::size_t n, const unsigned char*& out) {
+    if (n > rest.size()) return false;
+    out = reinterpret_cast<const unsigned char*>(rest.data());
+    rest.remove_prefix(n);
+    return true;
+  }
+  bool u32(std::uint32_t& v) {
+    const unsigned char* p = nullptr;
+    if (!take(4, p)) return false;
+    v = get_u32_be(p);
+    return true;
+  }
+  bool f64(double& v) {
+    const unsigned char* p = nullptr;
+    if (!take(8, p)) return false;
+    v = get_double_be(p);
+    return true;
+  }
+  bool string(std::string& s) {
+    std::uint32_t n = 0;
+    const unsigned char* p = nullptr;
+    if (!u32(n) || !take(n, p)) return false;
+    s.assign(reinterpret_cast<const char*>(p), n);
+    return true;
+  }
+};
+
 }  // namespace
 
 std::string canonical_key(const service::Request& request) {
@@ -79,6 +112,35 @@ std::string canonical_key(const service::Request& request) {
     put_double_be(key, request.wire.k_dielectric);
   }
   return key;
+}
+
+bool decode_canonical_key(std::string_view key, service::Request& request) {
+  using service::RequestKind;
+  KeyReader in{key};
+  std::string kind;
+  if (!in.string(kind)) return false;
+  service::Request r;  // kind kSelfConsistent unless the name says otherwise
+  if (kind == service::kind_name(RequestKind::kDutyCyclePoint))
+    r.kind = RequestKind::kDutyCyclePoint;
+  else if (kind == service::kind_name(RequestKind::kTableCell))
+    r.kind = RequestKind::kTableCell;
+  else if (kind != service::kind_name(RequestKind::kSelfConsistent))
+    return false;
+  bool ok = in.f64(r.duty_cycle) && in.f64(r.j0_MA_cm2) && in.f64(r.t_ref_c);
+  if (r.kind == RequestKind::kTableCell) {
+    std::uint32_t level = 0;
+    ok = ok && in.string(r.technology) && in.u32(level) &&
+         in.string(r.dielectric);
+    // Modular, the inverse of canonical_key's cast: every int round-trips.
+    r.level = static_cast<int>(level);
+  } else {
+    ok = ok && in.string(r.wire.metal) && in.f64(r.wire.width_um) &&
+         in.f64(r.wire.thickness_um) && in.f64(r.wire.dielectric_um) &&
+         in.f64(r.wire.k_dielectric);
+  }
+  if (!ok || !in.rest.empty()) return false;
+  request = std::move(r);
+  return true;
 }
 
 bool canonical_solve(const selfconsistent::Solution& solution) {

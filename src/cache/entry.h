@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "selfconsistent/solver.h"
 #include "service/request.h"
@@ -44,8 +45,17 @@ struct CachedSolve {
 /// clients asking the same physics share one entry; requests that differ
 /// in any bit of any input do not. The supervise quarantine hash keys the
 /// same bytes: a poison payload stays one quarantine entry whatever id it
-/// is re-sent under.
+/// is re-sent under. It is also the request's only encoding on the
+/// supervise IPC channel, so a worker answers every input bit.
 std::string canonical_key(const service::Request& request);
+
+/// Strict inverse of canonical_key: rebuilds the request `key` was made
+/// from, with an empty id and defaults in the fields the kind does not
+/// key. Returns false, leaving `request` untouched, on an unknown kind
+/// name, short input, a string length that runs past the end, or trailing
+/// bytes. For every key k canonical_key produces,
+/// canonical_key(decoded) == k.
+bool decode_canonical_key(std::string_view key, service::Request& request);
 
 /// True iff `solution` is a canonical clean solve: converged, kOk, and its
 /// diag is exactly the synthesized single-event "numeric/brent" chain.

@@ -31,6 +31,11 @@ enum class StatusCode {
   kWorkerCrashed,     ///< isolated worker process died mid-request (signal)
 };
 
+/// The highest StatusCode. Codes run densely from kOk, so a decoder that
+/// reads a code as an integer range-checks it against this; move it when a
+/// code is appended.
+inline constexpr StatusCode kLastStatusCode = StatusCode::kWorkerCrashed;
+
 /// Short stable name for a status code ("ok", "no-bracket", ...).
 const char* status_name(StatusCode code);
 

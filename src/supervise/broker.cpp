@@ -12,7 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "net/wire.h"
 #include "supervise/protocol.h"
 
 namespace dsmt::supervise {
@@ -43,8 +42,7 @@ struct ReapReply {
 /// Single-threaded by construction, so its forks are always safe.
 int broker_main(net::Fd control, const service::ServerConfig& service,
                 const WorkerLimits& limits, std::size_t payload_cap) {
-  const std::size_t message_cap =
-      kSeqPrefixBytes + net::kFrameHeaderBytes + payload_cap;
+  const std::size_t message_cap = kMessageOverheadBytes + payload_cap;
   std::vector<::pid_t> live;
   for (;;) {
     BrokerCommand cmd;

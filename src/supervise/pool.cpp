@@ -16,6 +16,7 @@
 #include "core/status.h"
 #include "service/degrade.h"
 #include "service/request.h"
+#include "service/retry.h"
 #include "supervise/protocol.h"
 
 namespace dsmt::supervise {
@@ -38,55 +39,16 @@ std::string signal_label(int sig) {
   }
 }
 
+/// Pacing of consecutive reforks of one slot: 1 ms doubling to 1 s, with
+/// +/-25 % seeded jitter (service/retry.h defaults).
+constexpr service::RetryPolicy kRestartBackoff{};
+
 std::string hash_hex(std::uint64_t h) {
   constexpr const char* kDigits = "0123456789abcdef";
   std::string s = "0x";
   for (int shift = 60; shift >= 0; shift -= 4)
     s.push_back(kDigits[(h >> shift) & 0xfu]);
   return s;
-}
-
-/// Reverse of core::status_name for reply-frame peeking; an unknown name
-/// degrades to kInvalidInput (strict codec: never guess kOk).
-StatusCode status_from_name(const std::string& name) {
-  constexpr StatusCode kCodes[] = {
-      StatusCode::kOk,           StatusCode::kInvalidInput,
-      StatusCode::kNoBracket,    StatusCode::kMaxIterations,
-      StatusCode::kNonFinite,    StatusCode::kSingularSystem,
-      StatusCode::kDeadlineExceeded, StatusCode::kCancelled,
-      StatusCode::kRejectedOverload, StatusCode::kWorkerCrashed,
-  };
-  for (const StatusCode code : kCodes)
-    if (name == core::status_name(code)) return code;
-  return StatusCode::kInvalidInput;
-}
-
-/// Status the parent reads out of a reply frame for metrics only — the
-/// frame bytes themselves are forwarded to the client untouched.
-StatusCode peek_status(const std::string& frame) {
-  try {
-    const report::Json root = report::Json::parse(frame_payload(frame));
-    if (const report::Json* status = root.find("status"))
-      return status_from_name(status->as_string());
-  } catch (const std::exception&) {
-  }
-  return StatusCode::kInvalidInput;
-}
-
-/// Whole-datagram send on the parent side; mirrors the worker's helper.
-/// Returns 0 on success, else the errno of the failure — the caller must
-/// distinguish a dead peer (EPIPE/ECONNRESET) from an undeliverable
-/// datagram on a LIVE child (EMSGSIZE, ENOBUFS), which must not be treated
-/// as a crash.
-int send_whole(int fd, const std::string& message) {
-  for (;;) {
-    const net::IoResult r =
-        net::write_some(fd, message.data(), message.size());
-    if (r.n == static_cast<long>(message.size())) return 0;
-    if (r.n < 0 && r.would_block()) continue;
-    if (r.n >= 0) return EPROTO;  // short SEQPACKET send: cannot happen
-    return r.error != 0 ? r.error : EPIPE;
-  }
 }
 
 /// Effective per-direction payload cap: `want_payload` clamped to the
@@ -96,7 +58,6 @@ int send_whole(int fd, const std::string& message) {
 /// agrees with what the kernel enforces (the broker applies the same
 /// SO_SNDBUF tuning to every real pair).
 std::size_t probe_payload_cap(std::size_t want_payload) {
-  const std::size_t overhead = kSeqPrefixBytes + net::kFrameHeaderBytes;
   int sv[2] = {-1, -1};
   if (::socketpair(AF_UNIX, SOCK_SEQPACKET | SOCK_CLOEXEC, 0, sv) != 0)
     return want_payload;  // unknowable: the sender's errno path protects
@@ -104,10 +65,10 @@ std::size_t probe_payload_cap(std::size_t want_payload) {
   net::Fd b;
   a.reset(sv[0]);
   b.reset(sv[1]);
-  const std::size_t datagram_cap =
-      net::tune_datagram_capacity(a.get(), overhead + want_payload);
-  if (datagram_cap <= overhead) return want_payload;
-  const std::size_t granted = datagram_cap - overhead;
+  const std::size_t datagram_cap = net::tune_datagram_capacity(
+      a.get(), kMessageOverheadBytes + want_payload);
+  if (datagram_cap <= kMessageOverheadBytes) return want_payload;
+  const std::size_t granted = datagram_cap - kMessageOverheadBytes;
   return granted < want_payload ? granted : want_payload;
 }
 
@@ -193,8 +154,7 @@ ExecuteResult WorkerPool::execute(const service::Request& request,
     return quarantined_result(request, hash, quarantined_crashes);
 
   const std::string message = encode_request_message(seq, request);
-  if (message.size() >
-      kSeqPrefixBytes + net::kFrameHeaderBytes + payload_cap_) {
+  if (message.size() > kMessageOverheadBytes + payload_cap_) {
     // Never offer the kernel a datagram it will refuse: an EMSGSIZE on a
     // live worker is not a crash, and must not be classified as one.
     {
@@ -208,8 +168,7 @@ ExecuteResult WorkerPool::execute(const service::Request& request,
         "supervise/pool", StatusCode::kInvalidInput, 0, 0.0,
         "encoded request is " + std::to_string(message.size()) +
             " bytes; the channel carries at most " +
-            std::to_string(kSeqPrefixBytes + net::kFrameHeaderBytes +
-                           payload_cap_) +
+            std::to_string(kMessageOverheadBytes + payload_cap_) +
             " (max_payload_bytes clamped to the socket buffer grant)");
     return to_result(resp);
   }
@@ -217,7 +176,7 @@ ExecuteResult WorkerPool::execute(const service::Request& request,
     Lease lease;
     ExecuteResult failure;
     if (!acquire(lease, failure, request)) return failure;
-    const int send_error = send_whole(lease.fd, message);
+    const int send_error = send_message(lease.fd, message);
     if (send_error == EPIPE || send_error == ECONNRESET) {
       // The worker died while idle — before it ever saw this request, so
       // the crash does not count against the request's hash. Reap, mark
@@ -309,7 +268,7 @@ bool WorkerPool::acquire(Lease& lease, ExecuteResult& failure,
     restart_attempt = slots_[index].consecutive_restarts + 1;
   }
   const std::uint64_t delay_ns = service::backoff_ns(
-      config_.restart_backoff,
+      kRestartBackoff,
       service::mix64(0x73757056u ^ static_cast<std::uint64_t>(index)),
       restart_attempt);
   if (config_.sleep_on_restart_backoff && delay_ns > 0) {
@@ -360,9 +319,7 @@ ExecuteResult WorkerPool::await_reply(const Lease& lease,
                                       std::uint64_t hash,
                                       std::uint64_t seq) {
   const auto start = std::chrono::steady_clock::now();
-  std::string buffer(kSeqPrefixBytes + net::kFrameHeaderBytes +
-                         payload_cap_,
-                     '\0');
+  std::string buffer(kMessageOverheadBytes + payload_cap_, '\0');
   for (;;) {
     StatusCode st = core::run_check();
     bool pool_deadline = false;
@@ -423,11 +380,12 @@ ExecuteResult WorkerPool::await_reply(const Lease& lease,
     if (r.n < 0 && r.would_block()) continue;
     if (r.n > 0) {
       std::uint64_t echoed = 0;
+      StatusCode status = StatusCode::kOk;
       std::string frame;
-      if (split_message(buffer.data(), static_cast<std::size_t>(r.n),
-                        payload_cap_, echoed, frame) &&
+      if (decode_response_message(buffer.data(),
+                                  static_cast<std::size_t>(r.n), payload_cap_,
+                                  echoed, status, frame) &&
           echoed == seq) {
-        const StatusCode status = peek_status(frame);
         {
           MutexLock lock(mu_);
           ++stats_.replies;
@@ -444,9 +402,9 @@ ExecuteResult WorkerPool::await_reply(const Lease& lease,
         release(lease.index);
         return ExecuteResult{status, std::move(frame)};
       }
-      // A malformed datagram or wrong echo means the child is corrupted:
-      // its reply cannot be trusted, so it is discarded and the worker
-      // replaced.
+      // A malformed datagram, a status outside core::StatusCode or a wrong
+      // echo means the child is corrupted: its reply cannot be trusted, so
+      // it is discarded and the worker replaced.
       {
         MutexLock lock(mu_);
         ++stats_.protocol_errors;

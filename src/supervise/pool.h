@@ -2,9 +2,10 @@
 //
 // A WorkerPool forks N worker children at construction; each child runs
 // supervise::run_worker over its half of a SOCK_SEQPACKET socketpair. The
-// parent leases one worker per request — serialize, send, poll, forward the
-// reply frame verbatim — so a kernel SIGSEGV/SIGFPE, an OOM kill, or an
-// RLIMIT rail firing takes down ONE child mid-request, never the front end:
+// parent leases one worker per request — send the id and canonical key
+// (protocol.h), poll, forward the reply frame verbatim — so a kernel
+// SIGSEGV/SIGFPE, an OOM kill, or an RLIMIT rail firing takes down ONE child
+// mid-request, never the front end:
 //
 //   detect     EOF on the channel while a reply is owed, confirmed by
 //              wait4(), which also yields the terminating signal and the
@@ -34,10 +35,10 @@
 // drain cancel or an ambient deadline kills the wedged child (SIGKILL) and
 // answers with the interruption status instead of blocking forever.
 //
-// Determinism: a successful reply is the child's response bytes forwarded
-// unmodified, and the child serves the request exactly as the in-process
-// service would, so non-crashing lanes keep the byte-identical-replies-at-
-// any-DSMT_THREADS invariant across the process boundary.
+// Determinism: the child receives every input bit of the request and serves
+// it exactly as the in-process service would, and its reply bytes are
+// forwarded unparsed and unmodified, so a non-crashing lane's reply is
+// byte-identical to the in-process one at any DSMT_THREADS.
 //
 // Neither side holds a solve cache: the parent never solves, and the
 // constructor drops any cache from the child-side service config, because
@@ -58,7 +59,6 @@
 #include "net/socket_io.h"
 #include "net/wire.h"
 #include "report/json.h"
-#include "service/retry.h"
 #include "service/server.h"
 #include "supervise/broker.h"
 #include "supervise/worker.h"
@@ -68,17 +68,16 @@ namespace dsmt::supervise {
 struct SuperviseConfig {
   std::size_t workers = 2;             ///< forked worker children
   service::ServerConfig service{};  ///< child-side config, solve_cache dropped
-  /// Cap on one IPC message's JSON payload [bytes] (both directions). The
-  /// pool clamps this to what the kernel's socket buffers can actually
-  /// carry in one SEQPACKET datagram (see payload_cap()); a request over
-  /// the clamped cap is refused with a typed kInvalidInput, never sent.
+  /// Cap on one IPC datagram past kMessageOverheadBytes [bytes], in both
+  /// directions: a reply's JSON, a request's id and key. The pool clamps
+  /// this to what the kernel's socket buffers can actually carry in one
+  /// SEQPACKET datagram (see payload_cap()); a request over the clamped cap
+  /// is refused with a typed kInvalidInput, never sent.
   std::size_t max_payload_bytes = net::kDefaultMaxFrameBytes;
   /// Crashes by one canonical request hash before it stops reaching workers.
   int quarantine_threshold = 2;
-  /// Seeded backoff between consecutive reforks of one slot.
-  service::RetryPolicy restart_backoff{};
-  /// Actually sleep the restart backoff (tests disable it; the schedule is
-  /// recorded in the diag chain either way).
+  /// Actually sleep the seeded backoff between consecutive reforks of one
+  /// slot (tests disable it to stay fast).
   bool sleep_on_restart_backoff = true;
   WorkerLimits limits{};  ///< rlimit rails + chaos arming for every child
   /// Parent-side cap on one reply wait [ns] (0 = ambient RunContext only).
@@ -106,7 +105,8 @@ struct SuperviseStats {
 };
 
 /// Outcome of one supervised request: the complete DSM1 reply frame for the
-/// client plus the parsed status for metrics and tests.
+/// client plus its status (the worker's status byte, or the parent's own
+/// answer's) for metrics and tests.
 struct ExecuteResult {
   core::StatusCode status = core::StatusCode::kOk;
   std::string frame;

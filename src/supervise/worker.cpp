@@ -8,7 +8,6 @@
 
 #include "core/status.h"
 #include "net/socket_io.h"
-#include "net/wire.h"
 #include "supervise/protocol.h"
 
 namespace dsmt::supervise {
@@ -23,19 +22,6 @@ bool apply_rlimit(int resource, std::uint64_t value) {
   rl.rlim_cur = static_cast<rlim_t>(value);
   rl.rlim_max = static_cast<rlim_t>(value);
   return ::setrlimit(resource, &rl) == 0;
-}
-
-/// Writes one whole datagram; SEQPACKET sends are all-or-nothing, but EINTR
-/// retry lives in write_some and a would-block on a full buffer is retried
-/// here (the parent reads one reply per request, so the buffer drains).
-bool send_datagram(int fd, const std::string& message) {
-  for (;;) {
-    const net::IoResult r =
-        net::write_some(fd, message.data(), message.size());
-    if (r.n == static_cast<long>(message.size())) return true;
-    if (r.n < 0 && r.would_block()) continue;
-    return false;  // EPIPE (parent gone) or a short SEQPACKET send
-  }
 }
 
 /// A response the worker can always afford to build: id/status/error only.
@@ -71,8 +57,7 @@ int run_worker(int channel_fd, service::ServerConfig service_config,
 
   try {
     service::Server server(service_config);
-    std::vector<char> buffer(kSeqPrefixBytes + net::kFrameHeaderBytes +
-                             max_payload_bytes);
+    std::vector<char> buffer(kMessageOverheadBytes + max_payload_bytes);
     for (;;) {
       const net::IoResult r =
           net::read_some(channel_fd, buffer.data(), buffer.size());
@@ -83,48 +68,34 @@ int run_worker(int channel_fd, service::ServerConfig service_config,
       }
 
       std::uint64_t seq = 0;
-      std::string frame;
+      service::Request request;
       service::Response response;
-      if (!split_message(buffer.data(), static_cast<std::size_t>(r.n),
-                         max_payload_bytes, seq, frame)) {
+      if (!decode_request_message(buffer.data(),
+                                  static_cast<std::size_t>(r.n), seq,
+                                  request)) {
         response = slim_error("", core::StatusCode::kInvalidInput,
                               "malformed supervision datagram");
       } else {
-        service::Request request;
-        bool parsed = false;
+        // Chaos hook: poison requests die HERE, in the child, by the armed
+        // crash mechanism — the containment the supervisor exists to
+        // prove.
+        numeric::fault::crash_point("supervise/worker", request.id);
         try {
-          request =
-              service::request_from_json(report::Json::parse(
-                  frame_payload(frame)));
-          parsed = true;
+          response = server.handle(request);
+        } catch (const std::bad_alloc&) {
+          response = slim_error(request.id,
+                                core::StatusCode::kRejectedOverload,
+                                "allocation failure in worker: request shed");
         } catch (const std::exception& e) {
-          response = slim_error("", core::StatusCode::kInvalidInput,
-                                std::string("bad request payload: ") +
-                                    e.what());
-        }
-        if (parsed) {
-          // Chaos hook: poison requests die HERE, in the child, by the
-          // armed crash mechanism — the containment the supervisor exists
-          // to prove.
-          numeric::fault::crash_point("supervise/worker", request.id);
-          try {
-            response = server.handle(request);
-          } catch (const std::bad_alloc&) {
-            response = slim_error(
-                request.id, core::StatusCode::kRejectedOverload,
-                "allocation failure in worker: request shed");
-          } catch (const std::exception& e) {
-            response = slim_error(request.id,
-                                  core::StatusCode::kInvalidInput,
-                                  std::string("worker error: ") + e.what());
-          }
+          response = slim_error(request.id, core::StatusCode::kInvalidInput,
+                                std::string("worker error: ") + e.what());
         }
       }
 
       std::string reply;
       try {
         const std::size_t message_cap =
-            kSeqPrefixBytes + net::kFrameHeaderBytes + max_payload_bytes;
+            kMessageOverheadBytes + max_payload_bytes;
         reply = encode_response_message(seq, response);
         if (reply.size() > message_cap) {
           // Elide ONLY the diag chain: the status and the numeric results
@@ -155,7 +126,7 @@ int run_worker(int channel_fd, service::ServerConfig service_config,
                             std::string("response encoding failed: ") +
                                 e.what()));
       }
-      if (!send_datagram(channel_fd, reply))
+      if (send_message(channel_fd, reply) != 0)
         return 4;  // parent vanished mid-reply: nothing left to serve
     }
   } catch (const std::bad_alloc&) {

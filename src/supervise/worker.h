@@ -4,10 +4,13 @@
 // Everything here runs in the FORKED CHILD. The loop owns a private
 // service::Server (sign-off publication forced off — the parent owns the
 // process-wide sign-off slot), reads one request datagram at a time,
-// executes it, and writes back one response datagram. Parent closing the
-// channel is the clean-shutdown signal: read returns EOF and the loop exits
-// 0. A reply the parent will never read (EPIPE after a parent crash) exits
-// nonzero — the child must never outlive its supervisor.
+// decodes its binary id and canonical key (protocol.h; no JSON), executes
+// it, and writes back one reply datagram carrying the status byte and the
+// reply frame. A datagram that does not decode gets a typed kInvalidInput
+// reply, and the loop keeps serving. Parent closing the channel is the
+// clean-shutdown signal: read returns EOF and the loop exits 0. A reply the
+// parent will never read (EPIPE after a parent crash) exits nonzero — the
+// child must never outlive its supervisor.
 #pragma once
 
 #include <cstddef>

@@ -10,23 +10,32 @@
 #include <gtest/gtest.h>
 
 #include <csignal>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <climits>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cache/entry.h"
 #include "core/atomic_file.h"
 #include "core/run_context.h"
 #include "core/status.h"
+#include "net/wire.h"
 #include "numeric/fault_injection.h"
+#include "parallel/parallel_for.h"
+#include "parallel/thread_pool.h"
 #include "report/json.h"
 #include "service/request.h"
+#include "service/retry.h"
 #include "service/server.h"
 #include "supervise/pool.h"
 #include "supervise/protocol.h"
@@ -74,6 +83,109 @@ FaultPlan crash_plan(FaultKind kind, const std::string& key = "poison") {
   return plan;
 }
 
+/// A splitmix64 stream (service::mix64 is its output function): every
+/// generated input below is a pure function of its seed.
+struct SplitMix {
+  std::uint64_t state;
+  std::uint64_t next() {
+    const std::uint64_t out = service::mix64(state);
+    state += 0x9e3779b97f4a7c15ull;
+    return out;
+  }
+  std::size_t below(std::size_t n) {
+    return static_cast<std::size_t>(next() % n);
+  }
+  template <typename T>
+  T pick(std::initializer_list<T> values) {
+    return values.begin()[below(values.size())];
+  }
+};
+
+/// Seeded requests of all three kinds for the codec round trips and the
+/// supervised-vs-in-process differential. Doubles often need 17 digits
+/// (0.05 + 0.01 k, nextafter neighbours of round values); about one in
+/// eight inputs fails (j0 1e7 has no bracket, unknown metal, technology or
+/// gap fill, level 0 and -1, duty 0); the fields a kind does not key carry
+/// junk; ids are empty, several KiB long, or hold quotes, backslashes,
+/// control bytes and UTF-8.
+std::vector<service::Request> generated_requests(std::size_t count,
+                                                 std::uint64_t seed) {
+  SplitMix rng{seed};
+  // A round value, a nextafter neighbour of it, or a 17-digit perturbation.
+  const auto near = [&rng](double round) {
+    switch (rng.below(4)) {
+      case 0: return round;
+      case 1: return std::nextafter(round, 0.0);
+      case 2: return std::nextafter(round, 2.0 * round);
+      default:
+        return round * (1.0 + 1e-13 * static_cast<double>(1 + rng.below(99)));
+    }
+  };
+  const auto fails = [&rng] { return rng.below(8) == 0; };
+  std::vector<service::Request> out;
+  out.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    service::Request r;
+    r.kind = rng.pick({service::RequestKind::kSelfConsistent,
+                       service::RequestKind::kDutyCyclePoint,
+                       service::RequestKind::kTableCell});
+    r.duty_cycle = fails() ? 0.0
+                   : rng.below(2) == 0
+                       ? 0.05 + 0.01 * static_cast<double>(rng.below(96))
+                       : near(rng.pick({0.1, 0.25, 0.5, 1.0}));
+    r.j0_MA_cm2 = fails() ? 1e7
+                          : rng.pick({near(0.6), near(1.8), 0.1 + 0.2,
+                                      1.2345678901234});
+    r.t_ref_c = rng.below(2) == 0
+                    ? near(100.0)
+                    : 25.0 + 0.1 * static_cast<double>(rng.below(900));
+    const bool table = r.kind == service::RequestKind::kTableCell;
+    // The fields this kind does not key get junk half the time: the reply
+    // must not depend on them.
+    if (table || rng.below(2) == 0) {
+      r.technology = fails() ? std::string("NTRS-65nm-Cu")
+                             : rng.pick<std::string>(
+                                   {"NTRS-250nm-Cu", "NTRS-250nm-AlCu",
+                                    "NTRS-180nm-Cu", "NTRS-130nm-Cu",
+                                    "ntrs100cu", "100nm_alcu"});
+      r.level = fails() ? rng.pick({0, -1})
+                        : static_cast<int>(1 + rng.below(8));
+      r.dielectric = fails() ? std::string("vacuum")
+                             : rng.pick<std::string>({"oxide", "hsq",
+                                                      "polyimide", "fsg",
+                                                      "aerogel", "air"});
+    }
+    if (!table || rng.below(2) == 0) {
+      r.wire.metal = fails() ? std::string("unobtainium")
+                             : rng.pick<std::string>({"cu", "alcu", "al"});
+      r.wire.width_um = 0.1 + 0.01 * static_cast<double>(rng.below(190));
+      r.wire.thickness_um = near(rng.pick({0.5, 0.9, 1.2}));
+      r.wire.dielectric_um = near(rng.pick({0.4, 0.8, 1.6}));
+      r.wire.k_dielectric = near(rng.pick({1.15, 0.3, 0.6}));
+    }
+    switch (rng.below(6)) {
+      case 0: break;  // empty id
+      case 1:
+        r.id = std::string(2048 + rng.below(6144), 'k') +
+               std::to_string(i);
+        break;
+      case 2: r.id = "q\"uote\\back\\slash-" + std::to_string(i); break;
+      case 3:
+        r.id = std::string("ctl") + '\x01' + '\t' + '\n' + '\x1f' +
+               '\x7f' + std::to_string(i);
+        break;
+      case 4:
+        // Omega, euro sign, fire emoji: two-, three- and four-byte UTF-8.
+        r.id = "\xce\xa9-\xe2\x82\xac-\xf0\x9f\x94\xa5-" +
+               std::to_string(i);
+        break;
+      default: r.id = "wire-" + std::to_string(i); break;
+    }
+    out.push_back(std::move(r));
+  }
+  return out;
+}
+
 report::Json payload_of(const ExecuteResult& result) {
   return report::Json::parse(frame_payload(result.frame));
 }
@@ -100,34 +212,265 @@ TEST(SuperviseProtocol, CanonicalHashIsPureAndContentKeyed) {
 }
 
 TEST(SuperviseProtocol, MessageRoundTripAndStrictRejection) {
-  const service::Request request = wire_request("round-trip");
+  // Request: seq | u32 id length | id | canonical key — every input bit.
+  service::Request request = wire_request("round-trip", 0.1 + 0.2);
+  request.j0_MA_cm2 = 1.2345678901234;
   const std::string message = encode_request_message(7, request);
-
   std::uint64_t seq = 0;
-  std::string frame;
-  ASSERT_TRUE(split_message(message.data(), message.size(),
-                            net::kDefaultMaxFrameBytes, seq, frame));
+  service::Request decoded;
+  ASSERT_TRUE(
+      decode_request_message(message.data(), message.size(), seq, decoded));
   EXPECT_EQ(seq, 7u);
-  ASSERT_GE(frame.size(), net::kFrameHeaderBytes);
-  EXPECT_EQ(frame.substr(0, 4), "DSM1");
-  const service::Request decoded =
-      service::request_from_json(report::Json::parse(frame_payload(frame)));
   EXPECT_EQ(decoded.id, "round-trip");
-  EXPECT_EQ(canonical_request_hash(decoded), canonical_request_hash(request));
+  EXPECT_EQ(decoded.duty_cycle, request.duty_cycle);  // bit-exact
+  EXPECT_EQ(decoded.j0_MA_cm2, request.j0_MA_cm2);
+  EXPECT_EQ(cache::canonical_key(decoded), cache::canonical_key(request));
 
-  // Short datagram: not even a sequence prefix.
-  EXPECT_FALSE(split_message(message.data(), 4, net::kDefaultMaxFrameBytes,
-                             seq, frame));
-  // Corrupted magic right after the prefix.
-  std::string bad_magic = message;
-  bad_magic[kSeqPrefixBytes] = 'X';
-  EXPECT_FALSE(split_message(bad_magic.data(), bad_magic.size(),
-                             net::kDefaultMaxFrameBytes, seq, frame));
+  // Every proper prefix and one trailing byte are rejected, and so is an
+  // id length that runs past the end.
+  for (std::size_t n = 0; n < message.size(); ++n)
+    EXPECT_FALSE(decode_request_message(message.data(), n, seq, decoded))
+        << n;
+  const std::string trailing = message + '\0';
+  EXPECT_FALSE(
+      decode_request_message(trailing.data(), trailing.size(), seq, decoded));
+  std::string overlong_id = message;
+  overlong_id[kSeqPrefixBytes] = '\x7f';
+  EXPECT_FALSE(decode_request_message(overlong_id.data(), overlong_id.size(),
+                                      seq, decoded));
+
+  // Reply: seq | status byte | DSM1 frame, forwarded without parsing.
+  service::Response response;
+  response.id = "round-trip";
+  response.status = StatusCode::kNoBracket;
+  response.error = "no sign change";
+  const std::string reply = encode_response_message(9, response);
+  StatusCode status = StatusCode::kOk;
+  std::string frame;
+  ASSERT_TRUE(decode_response_message(reply.data(), reply.size(),
+                                      net::kDefaultMaxFrameBytes, seq, status,
+                                      frame));
+  EXPECT_EQ(seq, 9u);
+  EXPECT_EQ(status, StatusCode::kNoBracket);
+  EXPECT_EQ(frame, net::encode_frame(
+                       service::response_to_json(response).dump(-1)));
+
+  const auto rejects = [&](const std::string& bytes, std::size_t cap) {
+    return !decode_response_message(bytes.data(), bytes.size(), cap, seq,
+                                    status, frame);
+  };
+  EXPECT_TRUE(rejects(reply.substr(0, 4), net::kDefaultMaxFrameBytes));
+  // A status byte past core::StatusCode is a protocol violation.
+  for (const int code : {static_cast<int>(core::kLastStatusCode) + 1, 255}) {
+    std::string bad_status = reply;
+    bad_status[kSeqPrefixBytes] = static_cast<char>(code);
+    EXPECT_TRUE(rejects(bad_status, net::kDefaultMaxFrameBytes)) << code;
+  }
+  std::string bad_magic = reply;
+  bad_magic[kSeqPrefixBytes + 1] = 'X';
+  EXPECT_TRUE(rejects(bad_magic, net::kDefaultMaxFrameBytes));
   // Declared length must match the datagram exactly (SEQPACKET boundary).
-  EXPECT_FALSE(split_message(message.data(), message.size() - 1,
-                             net::kDefaultMaxFrameBytes, seq, frame));
+  EXPECT_TRUE(rejects(reply.substr(0, reply.size() - 1),
+                      net::kDefaultMaxFrameBytes));
+  EXPECT_TRUE(rejects(reply + 'x', net::kDefaultMaxFrameBytes));
   // Payload over the configured cap is refused before any buffering.
-  EXPECT_FALSE(split_message(message.data(), message.size(), 4, seq, frame));
+  EXPECT_TRUE(rejects(reply, 4));
+}
+
+TEST(SuperviseProtocol, CanonicalKeyDecodesBackToItsOwnBytes) {
+  std::uint64_t index = 0;
+  for (const service::Request& request : generated_requests(2048, 16)) {
+    const std::string key = cache::canonical_key(request);
+    service::Request decoded;
+    ASSERT_TRUE(cache::decode_canonical_key(key, decoded)) << index;
+    EXPECT_EQ(cache::canonical_key(decoded), key) << index;
+    EXPECT_TRUE(decoded.id.empty());
+
+    const std::string message = encode_request_message(index, request);
+    std::uint64_t seq = 0;
+    service::Request carried;
+    ASSERT_TRUE(decode_request_message(message.data(), message.size(), seq,
+                                       carried));
+    EXPECT_EQ(seq, index);
+    EXPECT_EQ(carried.id, request.id);
+    EXPECT_EQ(cache::canonical_key(carried), key);
+    ++index;
+  }
+  // The table level is a u32 on the wire; every int comes back, negatives
+  // included, so invalid-level replies stay byte-identical too.
+  for (const int level : {INT_MIN, -1, 0, 1, INT_MAX}) {
+    service::Request cell;
+    cell.kind = service::RequestKind::kTableCell;
+    cell.technology = "NTRS-250nm-Cu";
+    cell.level = level;
+    service::Request decoded;
+    ASSERT_TRUE(
+        cache::decode_canonical_key(cache::canonical_key(cell), decoded));
+    EXPECT_EQ(decoded.level, level);
+  }
+}
+
+TEST(SuperviseProtocol, KeyDecoderRejectsWhatCanonicalKeyNeverWrites) {
+  service::Request cell;
+  cell.kind = service::RequestKind::kTableCell;
+  cell.technology = "NTRS-180nm-Cu";
+  cell.level = 3;
+  service::Request untouched = wire_request("");
+  untouched.wire.metal = "sentinel";
+  for (const service::Request& request : {wire_request(""), cell}) {
+    const std::string key = cache::canonical_key(request);
+    service::Request decoded = untouched;
+    for (std::size_t n = 0; n < key.size(); ++n)
+      EXPECT_FALSE(cache::decode_canonical_key(key.substr(0, n), decoded))
+          << n;
+    EXPECT_FALSE(cache::decode_canonical_key(key + '\0', decoded));
+    // A rejected key leaves the output as it was.
+    EXPECT_EQ(decoded.wire.metal, "sentinel");
+  }
+
+  // An unknown kind, including aliases the JSON codec accepts but the key
+  // never writes.
+  const std::string wire_key = cache::canonical_key(wire_request(""));
+  const std::string body = wire_key.substr(4 + 15);  // after "self-consistent"
+  for (const std::string kind : {"sc", "self-consistenT", "unknown", ""}) {
+    std::string key;
+    key.push_back('\0');
+    key.push_back('\0');
+    key.push_back('\0');
+    key.push_back(static_cast<char>(kind.size()));
+    key += kind + body;
+    service::Request decoded;
+    EXPECT_FALSE(cache::decode_canonical_key(key, decoded)) << kind;
+  }
+
+  // A string length that runs past the end: the metal's, right after the
+  // kind and the three doubles.
+  for (const unsigned char top : {0x00, 0x7f, 0xff}) {
+    std::string key = wire_key;
+    const std::size_t metal_length = 4 + 15 + 3 * 8;
+    key[metal_length] = static_cast<char>(top);
+    key[metal_length + 3] = static_cast<char>(0xff);
+    service::Request decoded;
+    EXPECT_FALSE(cache::decode_canonical_key(key, decoded)) << int{top};
+  }
+}
+
+TEST(SuperviseProtocol, MutatedRequestsNeverCrashAndAcceptedOnesReencode) {
+  // A seeded splitmix64 mutation campaign over the request envelope and
+  // the key inside it: no mutant may crash the decoder (run it under the
+  // asan-ubsan preset), and any mutant it accepts must re-encode to its
+  // own bytes — the decoder reads exactly what the encoder can write.
+  const std::vector<service::Request> corpus =
+      generated_requests(256, 0x6b6579);
+  SplitMix rng{0x6d757461};
+  std::size_t accepted = 0;
+  constexpr std::size_t kMutants = 120000;
+  for (std::size_t m = 0; m < kMutants; ++m) {
+    std::string bytes = encode_request_message(
+        rng.next(), corpus[rng.below(corpus.size())]);
+    for (std::size_t edits = 1 + rng.below(3); edits > 0; --edits) {
+      switch (rng.below(5)) {
+        case 0:  // flip bits in one byte
+          bytes[rng.below(bytes.size())] ^=
+              static_cast<char>(1 + rng.below(255));
+          break;
+        case 1:  // insert a byte
+          bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(
+                                           rng.below(bytes.size() + 1)),
+                       static_cast<char>(rng.next()));
+          break;
+        case 2:  // erase a byte
+          bytes.erase(rng.below(bytes.size()), 1);
+          break;
+        case 3:  // truncate
+          bytes.resize(rng.below(bytes.size() + 1));
+          break;
+        default: {  // overwrite four bytes with a plausible or huge length
+          if (bytes.size() < 4) break;
+          const std::size_t at = rng.below(bytes.size() - 3);
+          const std::uint64_t length =
+              rng.below(2) == 0 ? rng.below(64) : rng.next();
+          for (std::size_t k = 0; k < 4; ++k)
+            bytes[at + k] = static_cast<char>(length >> (24 - 8 * k));
+          break;
+        }
+      }
+      if (bytes.empty()) bytes.push_back(static_cast<char>(rng.next()));
+    }
+    std::uint64_t seq = 0;
+    service::Request decoded;
+    if (decode_request_message(bytes.data(), bytes.size(), seq, decoded)) {
+      ++accepted;
+      ASSERT_EQ(encode_request_message(seq, decoded), bytes) << "mutant " << m;
+    }
+  }
+  // Flips inside a double, the id or the echo keep a datagram valid, so
+  // the campaign exercises both outcomes.
+  EXPECT_GT(accepted, kMutants / 100);
+  EXPECT_LT(accepted, kMutants);
+}
+
+// --- the worker loop ---------------------------------------------------------
+
+TEST(SuperviseWorker, MalformedDatagramGetsTypedReplyAndTheLoopKeepsServing) {
+  // run_worker in a thread over a socketpair: the exact child loop, minus
+  // the fork.
+  int sv[2] = {-1, -1};
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_SEQPACKET | SOCK_CLOEXEC, 0, sv), 0);
+  constexpr std::size_t kCap = 64 * 1024;
+  service::ServerConfig config;
+  config.publish_signoff = false;
+  int exit_code = -1;
+  std::thread worker(
+      [&] { exit_code = run_worker(sv[1], config, WorkerLimits{}, kCap); });
+  {
+    // Closing our end is the clean-shutdown signal; doing it on scope exit
+    // joins the worker even when an assertion returns early.
+    struct Stop {
+      int* fds;
+      std::thread& thread;
+      ~Stop() {
+        ::close(fds[0]);
+        thread.join();
+        ::close(fds[1]);
+      }
+    } stop{sv, worker};
+
+    std::string buffer(kMessageOverheadBytes + kCap, '\0');
+    const auto ask = [&](const std::string& message, std::uint64_t& seq,
+                         StatusCode& status, std::string& frame) {
+      if (send_message(sv[0], message) != 0) return false;
+      const ssize_t n = ::read(sv[0], buffer.data(), buffer.size());
+      return n > 0 && decode_response_message(
+                          buffer.data(), static_cast<std::size_t>(n), kCap,
+                          seq, status, frame);
+    };
+
+    const service::Request request = wire_request("after-garbage", 0.15);
+    std::string malformed = encode_request_message(41, request);
+    malformed += "trailing";
+    std::uint64_t seq = 0;
+    StatusCode status = StatusCode::kOk;
+    std::string frame;
+    ASSERT_TRUE(ask(malformed, seq, status, frame));
+    EXPECT_EQ(seq, 41u);  // answered under its own echo
+    EXPECT_EQ(status, StatusCode::kInvalidInput);
+    const report::Json rejected = report::Json::parse(frame_payload(frame));
+    EXPECT_EQ(field_string(rejected, "status"), "invalid-input");
+    EXPECT_NE(field_string(rejected, "error").find("malformed"),
+              std::string::npos);
+
+    // The loop keeps serving: the next, well-formed request gets the
+    // in-process reply bytes.
+    ASSERT_TRUE(ask(encode_request_message(42, request), seq, status, frame));
+    EXPECT_EQ(seq, 42u);
+    EXPECT_EQ(status, StatusCode::kOk);
+    service::Server in_process(config);
+    EXPECT_EQ(frame, net::encode_frame(service::response_to_json(
+                                           in_process.handle(request))
+                                           .dump(-1)));
+  }
+  EXPECT_EQ(exit_code, 0);  // EOF on the channel: clean shutdown
 }
 
 // --- clean path --------------------------------------------------------------
@@ -156,6 +499,58 @@ TEST(WorkerPool, CleanRoundTripForwardsDeterministicWorkerBytes) {
   const ExecuteResult again = other.execute(request, 3);
   ASSERT_EQ(again.status, StatusCode::kOk);
   EXPECT_EQ(again.frame, result.frame);
+}
+
+TEST(WorkerPool, GeneratedRepliesEqualInProcessBytesAtOneAndEightThreads) {
+  // The behavioural contract through the process boundary: for every
+  // generated request, the supervised frame is byte for byte the frame the
+  // in-process path sends for it — full-precision doubles, failing inputs
+  // and awkward ids included — whether one thread or eight drive the pool.
+  const std::vector<service::Request> requests = generated_requests(2048, 1);
+  service::ServerConfig config;
+  config.publish_signoff = false;
+  service::Server in_process(config);
+  std::vector<std::string> expected;
+  expected.reserve(requests.size());
+  std::size_t full = 0;
+  std::size_t degraded = 0;
+  std::size_t refused = 0;
+  for (const service::Request& request : requests) {
+    const service::Response response = in_process.handle(request);
+    (response.ok() ? (response.degraded ? degraded : full) : refused) += 1;
+    expected.push_back(
+        net::encode_frame(service::response_to_json(response).dump(-1)));
+  }
+  // Every outcome class rides along: full solves, rung-2 answers to failed
+  // solves, and typed refusals of invalid input.
+  EXPECT_GT(full, requests.size() / 4);
+  EXPECT_GT(degraded, 0u);
+  EXPECT_GT(refused, 0u);
+
+  const std::size_t restore = parallel::thread_count();
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    parallel::set_thread_count(threads);
+    WorkerPool pool(quiet_pool(2));
+    ASSERT_EQ(pool.live_workers(), 2u);
+    std::vector<std::string> frames(requests.size());
+    parallel::parallel_for(requests.size(), [&](std::size_t i) {
+      frames[i] = pool.execute(requests[i], i).frame;
+    });
+    std::size_t differing = 0;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      if (frames[i] == expected[i]) continue;
+      if (++differing <= 3)
+        ADD_FAILURE() << "request " << i << " at " << threads
+                      << " threads\n  in-process "
+                      << frame_payload(expected[i]).substr(0, 400)
+                      << "\n  supervised "
+                      << frame_payload(frames[i]).substr(0, 400);
+    }
+    EXPECT_EQ(differing, 0u) << "of " << requests.size() << " at " << threads
+                             << " threads";
+    EXPECT_EQ(pool.stats().crashes, 0u);
+  }
+  parallel::set_thread_count(restore);
 }
 
 // --- crash containment -------------------------------------------------------
