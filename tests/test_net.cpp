@@ -293,8 +293,18 @@ TEST_F(NetServerTest, ClassifiesTruncatedFrameAsInvalidInput) {
   const std::string frame = net::encode_frame(request_payload("trunc"));
   ASSERT_TRUE(client.send_raw(frame.substr(0, frame.size() / 2)));
   client.half_close();
-  report::Json doc;
-  ASSERT_TRUE(client.recv_json(doc));
+  std::string payload;
+  ASSERT_TRUE(client.recv_frame(payload));
+  EXPECT_EQ(payload,
+            "{\"id\":\"\",\"kind\":\"self-consistent\",\"status\":\"invalid-inp"
+            "ut\",\"degraded\":false,\"degradation_level\":0,\"conservative\":f"
+            "alse,\"attempts\":0,\"backoff_ns\":[],\"error\":\"truncated frame:"
+            " connection half-closed mid-frame\",\"diag\":{\"kernel\":\"net/ser"
+            "ver\",\"status\":\"invalid-input\",\"iterations\":0,\"residual\":0"
+            ",\"recovered\":false,\"chain\":[{\"kernel\":\"net/server\",\"statu"
+            "s\":\"invalid-input\",\"iterations\":0,\"residual\":0,\"note\":\"t"
+            "runcated frame: connection half-closed mid-frame\"}]}}");
+  const report::Json doc = report::Json::parse(payload);
   EXPECT_EQ(status_of(doc), "invalid-input");
   const report::Json* error = doc.find("error");
   ASSERT_NE(error, nullptr);
@@ -311,8 +321,18 @@ TEST_F(NetServerTest, ClassifiesOversizedFrameAsInvalidInput) {
   Client client(path());
   ASSERT_TRUE(client.connected());
   ASSERT_TRUE(client.send_frame(std::string(256, 'x')));
-  report::Json doc;
-  ASSERT_TRUE(client.recv_json(doc));
+  std::string payload;
+  ASSERT_TRUE(client.recv_frame(payload));
+  EXPECT_EQ(payload,
+            "{\"id\":\"\",\"kind\":\"self-consistent\",\"status\":\"invalid-inp"
+            "ut\",\"degraded\":false,\"degradation_level\":0,\"conservative\":f"
+            "alse,\"attempts\":0,\"backoff_ns\":[],\"error\":\"oversized frame:"
+            " declared length exceeds 128 bytes\",\"diag\":{\"kernel\":\"net/se"
+            "rver\",\"status\":\"invalid-input\",\"iterations\":0,\"residual\":"
+            "0,\"recovered\":false,\"chain\":[{\"kernel\":\"net/server\",\"stat"
+            "us\":\"invalid-input\",\"iterations\":0,\"residual\":0,\"note\":\""
+            "oversized frame: declared length exceeds 128 bytes\"}]}}");
+  const report::Json doc = report::Json::parse(payload);
   EXPECT_EQ(status_of(doc), "invalid-input");
   const report::Json* error = doc.find("error");
   ASSERT_NE(error, nullptr);
@@ -327,9 +347,17 @@ TEST_F(NetServerTest, RejectsGarbageBeforeAnyFrameAndCloses) {
   Client client(path());
   ASSERT_TRUE(client.connected());
   ASSERT_TRUE(client.send_raw("this is not a DSM1 stream at all"));
-  report::Json doc;
-  ASSERT_TRUE(client.recv_json(doc));
-  EXPECT_EQ(status_of(doc), "invalid-input");
+  std::string payload;
+  ASSERT_TRUE(client.recv_frame(payload));
+  EXPECT_EQ(payload,
+            "{\"id\":\"\",\"kind\":\"self-consistent\",\"status\":\"invalid-inp"
+            "ut\",\"degraded\":false,\"degradation_level\":0,\"conservative\":f"
+            "alse,\"attempts\":0,\"backoff_ns\":[],\"error\":\"bad frame magic:"
+            " stream is not DSM1-framed\",\"diag\":{\"kernel\":\"net/server\","
+            "\"status\":\"invalid-input\",\"iterations\":0,\"residual\":0,\"rec"
+            "overed\":false,\"chain\":[{\"kernel\":\"net/server\",\"status\":\""
+            "invalid-input\",\"iterations\":0,\"residual\":0,\"note\":\"bad fra"
+            "me magic: stream is not DSM1-framed\"}]}}");
   EXPECT_TRUE(client.at_eof());
   const net::NetStats stats = stop();
   EXPECT_EQ(stats.protocol_errors, 1u);
@@ -340,16 +368,50 @@ TEST_F(NetServerTest, AnswersGarbageJsonInsideAFrameAndKeepsConnection) {
   Client client(path());
   ASSERT_TRUE(client.connected());
   ASSERT_TRUE(client.send_frame("{not json at all"));
-  report::Json doc;
-  ASSERT_TRUE(client.recv_json(doc));
-  EXPECT_EQ(status_of(doc), "invalid-input");
+  std::string payload;
+  ASSERT_TRUE(client.recv_frame(payload));
+  EXPECT_EQ(payload,
+            "{\"id\":\"\",\"kind\":\"self-consistent\",\"status\":\"invalid-inp"
+            "ut\",\"degraded\":false,\"degradation_level\":0,\"conservative\":f"
+            "alse,\"attempts\":0,\"backoff_ns\":[],\"error\":\"malformed reques"
+            "t payload: report/json: parse error at offset 1: expected member k"
+            "ey string\\nreport/json/parse: invalid-input after 0 iteration(s),"
+            " residual 0\\n  - report/json/parse: invalid-input, 0 it, residual"
+            " 0 [parse error at offset 1: expected member key string]\",\"diag"
+            "\":{\"kernel\":\"net/server\",\"status\":\"invalid-input\",\"itera"
+            "tions\":0,\"residual\":0,\"recovered\":false,\"chain\":[{\"kernel"
+            "\":\"net/server\",\"status\":\"invalid-input\",\"iterations\":0,\""
+            "residual\":0,\"note\":\"malformed request payload: report/json: pa"
+            "rse error at offset 1: expected member key string\\nreport/json/pa"
+            "rse: invalid-input after 0 iteration(s), residual 0\\n  - report/j"
+            "son/parse: invalid-input, 0 it, residual 0 [parse error at offset "
+            "1: expected member key string]\"}]}}");
+  // Well-formed JSON that names a field no request has: typed, id echoed.
+  ASSERT_TRUE(client.send_frame(
+      "{\"id\":\"typo\",\"kind\":\"table-cell\",\"dutycycle\":0.2}"));
+  ASSERT_TRUE(client.recv_frame(payload));
+  EXPECT_EQ(payload,
+            "{\"id\":\"typo\",\"kind\":\"self-consistent\",\"status\":\"invalid"
+            "-input\",\"degraded\":false,\"degradation_level\":0,\"conservative"
+            "\":false,\"attempts\":0,\"backoff_ns\":[],\"error\":\"service/requ"
+            "est: unknown request field 'dutycycle'\\nservice/request: invalid-"
+            "input after 0 iteration(s), residual 0\\n  - service/request: inva"
+            "lid-input, 0 it, residual 0 [unknown request field 'dutycycle']\","
+            "\"diag\":{\"kernel\":\"net/server\",\"status\":\"invalid-input\","
+            "\"iterations\":0,\"residual\":0,\"recovered\":false,\"chain\":[{\""
+            "kernel\":\"net/server\",\"status\":\"invalid-input\",\"iterations"
+            "\":0,\"residual\":0,\"note\":\"service/request: unknown request fi"
+            "eld 'dutycycle'\\nservice/request: invalid-input after 0 iteration"
+            "(s), residual 0\\n  - service/request: invalid-input, 0 it, residu"
+            "al 0 [unknown request field 'dutycycle']\"}]}}");
   // Framing stayed intact, so the connection survives and still serves.
   ASSERT_TRUE(client.send_frame(request_payload("after-garbage")));
+  report::Json doc;
   ASSERT_TRUE(client.recv_json(doc));
   EXPECT_EQ(id_of(doc), "after-garbage");
   EXPECT_EQ(status_of(doc), "ok");
   const net::NetStats stats = stop();
-  EXPECT_EQ(stats.invalid_requests, 1u);
+  EXPECT_EQ(stats.invalid_requests, 2u);
   EXPECT_EQ(stats.protocol_errors, 0u);
 }
 
@@ -424,8 +486,17 @@ TEST_F(NetServerTest, RejectsConnectionsBeyondAdmissionLimit) {
 
   Client second(path());
   ASSERT_TRUE(second.connected());  // accept() succeeds, admission refuses
-  ASSERT_TRUE(second.recv_json(doc));
-  EXPECT_EQ(status_of(doc), "rejected-overload");
+  std::string payload;
+  ASSERT_TRUE(second.recv_frame(payload));
+  EXPECT_EQ(payload,
+            "{\"id\":\"\",\"kind\":\"self-consistent\",\"status\":\"rejected-ov"
+            "erload\",\"degraded\":false,\"degradation_level\":0,\"conservative"
+            "\":false,\"attempts\":0,\"backoff_ns\":[],\"error\":\"connection r"
+            "ejected: connection limit reached\",\"diag\":{\"kernel\":\"net/ser"
+            "ver\",\"status\":\"rejected-overload\",\"iterations\":0,\"residual"
+            "\":0,\"recovered\":false,\"chain\":[{\"kernel\":\"net/server\",\"s"
+            "tatus\":\"rejected-overload\",\"iterations\":0,\"residual\":0,\"no"
+            "te\":\"connection rejected: connection limit reached\"}]}}");
   EXPECT_TRUE(second.at_eof());
 
   // The admitted connection is unharmed.
@@ -443,10 +514,19 @@ TEST_F(NetServerTest, RejectsRequestsBeyondInflightCapWithWellFormedFrame) {
   Client client(path());
   ASSERT_TRUE(client.connected());
   ASSERT_TRUE(client.send_frame(request_payload("over-cap")));
+  std::string payload;
+  ASSERT_TRUE(client.recv_frame(payload));
+  EXPECT_EQ(payload,
+            "{\"id\":\"over-cap\",\"kind\":\"self-consistent\",\"status\":\"rej"
+            "ected-overload\",\"degraded\":false,\"degradation_level\":0,\"cons"
+            "ervative\":false,\"attempts\":0,\"backoff_ns\":[],\"error\":\"requ"
+            "est rejected: per-connection in-flight cap\",\"diag\":{\"kernel\":"
+            "\"net/server\",\"status\":\"rejected-overload\",\"iterations\":0,"
+            "\"residual\":0,\"recovered\":false,\"chain\":[{\"kernel\":\"net/se"
+            "rver\",\"status\":\"rejected-overload\",\"iterations\":0,\"residua"
+            "l\":0,\"note\":\"request rejected: per-connection in-flight cap\"}"
+            "]}}");
   report::Json doc;
-  ASSERT_TRUE(client.recv_json(doc));
-  EXPECT_EQ(id_of(doc), "over-cap");
-  EXPECT_EQ(status_of(doc), "rejected-overload");
   // Ping still answers: the cap rejects solves, not the connection.
   ASSERT_TRUE(client.send_frame("{\"kind\":\"ping\",\"id\":\"p\"}"));
   ASSERT_TRUE(client.recv_json(doc));

@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <initializer_list>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -188,6 +189,13 @@ std::vector<service::Request> generated_requests(std::size_t count,
 
 report::Json payload_of(const ExecuteResult& result) {
   return report::Json::parse(frame_payload(result.frame));
+}
+
+/// A reply payload with the worker-specific numbers masked: the pid and the
+/// peak RSS of the child it names differ from run to run, the rest does not.
+std::string without_pid(const std::string& payload) {
+  static const std::regex kVolatile("(pid |maxrss_kb=)[0-9]+");
+  return std::regex_replace(payload, kVolatile, "$1N");
 }
 
 std::string field_string(const report::Json& root, const char* key) {
@@ -459,6 +467,15 @@ TEST(SuperviseWorker, MalformedDatagramGetsTypedReplyAndTheLoopKeepsServing) {
     EXPECT_EQ(field_string(rejected, "status"), "invalid-input");
     EXPECT_NE(field_string(rejected, "error").find("malformed"),
               std::string::npos);
+    EXPECT_EQ(frame_payload(frame),
+              "{\"id\":\"\",\"kind\":\"self-consistent\",\"status\":\"invalid-i"
+              "nput\",\"degraded\":false,\"degradation_level\":0,\"conservative"
+              "\":false,\"attempts\":0,\"backoff_ns\":[],\"error\":\"malformed "
+              "supervision datagram\",\"diag\":{\"kernel\":\"supervise/worker\""
+              ",\"status\":\"invalid-input\",\"iterations\":0,\"residual\":0,\""
+              "recovered\":false,\"chain\":[{\"kernel\":\"supervise/worker\",\""
+              "status\":\"invalid-input\",\"iterations\":0,\"residual\":0,\"not"
+              "e\":\"malformed supervision datagram\"}]}}");
 
     // The loop keeps serving: the next, well-formed request gets the
     // in-process reply bytes.
@@ -568,6 +585,16 @@ TEST(WorkerPool, AbortCrashIsTypedContainedAndSurvivable) {
   EXPECT_EQ(field_string(root, "status"), "worker-crashed");
   EXPECT_NE(field_string(root, "error").find("worker crashed"),
             std::string::npos);
+  EXPECT_EQ(without_pid(frame_payload(crashed.frame)),
+            "{\"id\":\"poison-a\",\"kind\":\"self-consistent\",\"status\":\"wor"
+            "ker-crashed\",\"degraded\":false,\"degradation_level\":0,\"conserv"
+            "ative\":false,\"attempts\":0,\"backoff_ns\":[],\"error\":\"worker "
+            "crashed serving the request (SIGABRT)\",\"diag\":{\"kernel\":\"sup"
+            "ervise/pool\",\"status\":\"worker-crashed\",\"iterations\":0,\"res"
+            "idual\":0,\"recovered\":false,\"chain\":[{\"kernel\":\"supervise/p"
+            "ool\",\"status\":\"worker-crashed\",\"iterations\":0,\"residual\":"
+            "0,\"note\":\"worker pid N died: SIGABRT; maxrss_kb=N; crash 1/2 fo"
+            "r hash 0x5cad5fb7b24b1dbc\"}]}}");
 
   // The front end survives and the next clean request is served (by the
   // remaining live worker or a lazily reforked slot).
@@ -714,6 +741,18 @@ TEST(WorkerPool, OversizeRequestIsTypedRefusalNotACrash) {
   EXPECT_NE(field_string(payload_of(refused), "error")
                 .find("datagram capacity"),
             std::string::npos);
+  EXPECT_EQ(frame_payload(refused.frame),
+            "{\"id\":\"" + fat.id +
+            "\",\"kind\":\"self-consistent\",\"status\":\"invalid-input\",\"deg"
+            "raded\":false,\"degradation_level\":0,\"conservative\":false,\"att"
+            "empts\":0,\"backoff_ns\":[],\"error\":\"request exceeds the superv"
+            "ision channel datagram capacity\",\"diag\":{\"kernel\":\"supervise"
+            "/pool\",\"status\":\"invalid-input\",\"iterations\":0,\"residual\""
+            ":0,\"recovered\":false,\"chain\":[{\"kernel\":\"supervise/pool\","
+            "\"status\":\"invalid-input\",\"iterations\":0,\"residual\":0,\"not"
+            "e\":\"encoded request is 12381 bytes; the channel carries at most "
+            "4113 (max_payload_bytes clamped to the socket buffer grant)\"}]}"
+            "}");
 
   // The worker never saw the request and is still in service: the next
   // clean request is answered by the SAME child — no crash, no refork.
@@ -783,6 +822,16 @@ TEST(WorkerPool, ReplyDeadlineKillCountsTowardQuarantine) {
   EXPECT_EQ(first.status, StatusCode::kDeadlineExceeded);
   EXPECT_NE(field_string(payload_of(first), "error").find("reply deadline"),
             std::string::npos);
+  EXPECT_EQ(without_pid(frame_payload(first.frame)),
+            "{\"id\":\"poison-stall\",\"kind\":\"self-consistent\",\"status\":"
+            "\"deadline-exceeded\",\"degraded\":false,\"degradation_level\":0,"
+            "\"conservative\":false,\"attempts\":0,\"backoff_ns\":[],\"error\":"
+            "\"worker exceeded the supervised reply deadline and was killed\","
+            "\"diag\":{\"kernel\":\"supervise/pool\",\"status\":\"deadline-exce"
+            "eded\",\"iterations\":0,\"residual\":0,\"recovered\":false,\"chain"
+            "\":[{\"kernel\":\"supervise/pool\",\"status\":\"deadline-exceeded"
+            "\",\"iterations\":0,\"residual\":0,\"note\":\"worker pid N killed "
+            "(SIGKILL) while serving hash 0x5cad5fb7b24b1dbc; crash 1/2\"}]}}");
   // The second attempt exercises the lazy refork (through the fork broker,
   // from this thread — which is not the thread the pool was built on).
   EXPECT_EQ(pool.execute(poison, 2).status, StatusCode::kDeadlineExceeded);
@@ -819,6 +868,16 @@ TEST(WorkerPool, AmbientDeadlineKillDoesNotQuarantine) {
     EXPECT_EQ(killed.status, StatusCode::kDeadlineExceeded);
     EXPECT_NE(field_string(payload_of(killed), "error").find("interrupted"),
               std::string::npos);
+    EXPECT_EQ(without_pid(frame_payload(killed.frame)),
+              "{\"id\":\"poison-ambient\",\"kind\":\"self-consistent\",\"status"
+              "\":\"deadline-exceeded\",\"degraded\":false,\"degradation_level"
+              "\":0,\"conservative\":false,\"attempts\":0,\"backoff_ns\":[],\"e"
+              "rror\":\"request interrupted: worker killed by the supervisor\","
+              "\"diag\":{\"kernel\":\"supervise/pool\",\"status\":\"deadline-ex"
+              "ceeded\",\"iterations\":0,\"residual\":0,\"recovered\":false,\"c"
+              "hain\":[{\"kernel\":\"supervise/pool\",\"status\":\"deadline-exc"
+              "eeded\",\"iterations\":0,\"residual\":0,\"note\":\"worker pid N "
+              "killed (SIGKILL) while serving hash 0x5cad5fb7b24b1dbc\"}]}}");
   }
 
   const SuperviseStats stats = pool.stats();
@@ -897,7 +956,12 @@ TEST(WorkerPool, ShutdownRefusesNewWorkAndIsIdempotent) {
   EXPECT_EQ(pool.live_workers(), 0u);
   const ExecuteResult refused = pool.execute(wire_request("late"), 1);
   EXPECT_EQ(refused.status, StatusCode::kCancelled);
-  EXPECT_FALSE(refused.frame.empty());
+  EXPECT_EQ(frame_payload(refused.frame),
+            "{\"id\":\"late\",\"kind\":\"self-consistent\",\"status\":\"cancell"
+            "ed\",\"degraded\":false,\"degradation_level\":0,\"conservative\":f"
+            "alse,\"attempts\":0,\"backoff_ns\":[],\"error\":\"worker pool is s"
+            "hut down\",\"diag\":{\"kernel\":\"\",\"status\":\"ok\",\"iteration"
+            "s\":0,\"residual\":0,\"recovered\":false,\"chain\":[]}}");
 }
 
 // --- crash-safe artifacts under process death --------------------------------
