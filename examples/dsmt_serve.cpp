@@ -12,8 +12,8 @@
 // front end (dsmt::net::Server) speaking DSM1-framed request/response JSON
 // until SIGTERM/SIGINT, then drains gracefully — stop accepting, finish or
 // deadline-out in-flight work, flush — and prints the sign-off report
-// (connection counters plus the service section, or under --isolate the
-// supervise section) on stdout before exiting.
+// (connection counters plus the section of the backend built here: the
+// in-process "service", or under --isolate "supervise") on stdout.
 //
 // Process isolation (--isolate, socket mode only): solves run in forked
 // worker children supervised by dsmt::supervise::WorkerPool instead of in
@@ -50,6 +50,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <map>
@@ -60,6 +61,7 @@
 #include <vector>
 
 #include "net/server.h"
+#include "net/wire.h"
 #include "numeric/fault_injection.h"
 #include "service/server.h"
 #include "supervise/pool.h"
@@ -209,8 +211,11 @@ bool parse_crash_faults(const std::string& value,
   return true;
 }
 
+/// Serves `config` until a drain, then prints the sign-off: the "net"
+/// counters, then the backend's own section under `backend_key`.
 int run_socket(const net::NetConfig& config, bool strict, int indent,
-               supervise::WorkerPool* pool) {
+               const char* backend_key,
+               const std::function<report::Json()>& backend_section) {
   net::Server server(config);
   server.open();  // fail fast (and resolve an ephemeral TCP port) pre-loop
   if (config.endpoint.kind == net::Endpoint::Kind::kTcp)
@@ -252,15 +257,13 @@ int run_socket(const net::NetConfig& config, bool strict, int indent,
                static_cast<long long>(stats.evicted_stalled)))
       .set("resets", report::Json::integer(
                          static_cast<long long>(stats.resets)))
+      .set("replies_dropped",
+           report::Json::integer(
+               static_cast<long long>(stats.replies_dropped)))
       .set("drained_clean", report::Json::boolean(stats.drained_clean));
   report::Json root = report::Json::object();
   root.set("net", std::move(net_json));
-  // Under --isolate the in-process service never runs: its counters would
-  // all read 0, and "supervise" carries the real ones.
-  if (pool == nullptr)
-    root.set("service", server.service().service_json());
-  else
-    root.set("supervise", pool->supervise_json());
+  root.set(backend_key, backend_section());
   std::printf("%s\n", root.dump(indent).c_str());
 
   if (!stats.drained_clean) {
@@ -339,7 +342,6 @@ int main(int argc, char** argv) {
       return usage();
     }
     net::NetConfig net_config;
-    net_config.service = config;
     if (opts.count("listen")) {
       net_config.endpoint.kind = net::Endpoint::Kind::kUnix;
       net_config.endpoint.path = opts["listen"];
@@ -365,7 +367,19 @@ int main(int argc, char** argv) {
     // the same per-request guarantee as batch callers.
     net_config.request_deadline_ns = config.deadline_ns;
 
-    if (!isolate) return run_socket(net_config, strict, indent, nullptr);
+    if (!isolate) {
+      service::Server server(config);
+      net_config.handler = [&server](const service::Request& request,
+                                     std::uint64_t /*seq*/) {
+        return net::response_frame(server.handle(request));
+      };
+      if (config.solve_cache != nullptr)
+        net_config.health_source = [cache = config.solve_cache] {
+          return report::Json::object().set("cache", cache->cache_json());
+        };
+      return run_socket(net_config, strict, indent, "service",
+                        [&server] { return server.service_json(); });
+    }
 
     supervise::SuperviseConfig sup;
     sup.service = config;  // the CHILD-side service configuration
@@ -384,10 +398,6 @@ int main(int argc, char** argv) {
                   opts["crash-faults"] + "' (want abort|segv|oom|stall)");
       return usage();
     }
-    // The in-process service goes unused in isolate mode; the pool owns the
-    // sign-off "service" key (quarantine table + worker fleet health).
-    net_config.service.publish_signoff = false;
-
     // Fork the fleet BEFORE any server thread exists: the constructor is
     // the single-threaded window where fork() is safe.
     auto pool = std::make_unique<supervise::WorkerPool>(sup);
@@ -396,14 +406,17 @@ int main(int argc, char** argv) {
       return 2;
     }
     supervise::WorkerPool* pool_ptr = pool.get();
-    net_config.frame_handler = [pool_ptr](const service::Request& request,
-                                          std::uint64_t seq) {
+    net_config.handler = [pool_ptr](const service::Request& request,
+                                    std::uint64_t seq) {
       return pool_ptr->execute(request, seq).frame;
     };
     net_config.health_source = [pool_ptr] {
-      return pool_ptr->supervise_json();
+      return report::Json::object().set("supervise",
+                                        pool_ptr->supervise_json());
     };
-    const int code = run_socket(net_config, strict, indent, pool_ptr);
+    const int code =
+        run_socket(net_config, strict, indent, "supervise",
+                   [pool_ptr] { return pool_ptr->supervise_json(); });
     pool->shutdown();
     return code;
   } catch (const std::exception& e) {

@@ -6,9 +6,11 @@
 #include <chrono>
 #include <cstring>
 #include <new>
+#include <stdexcept>
 #include <utility>
 
 #include "core/status.h"
+#include "net/wire.h"
 #include "parallel/thread_pool.h"
 #include "report/json.h"
 #include "service/request.h"
@@ -22,11 +24,9 @@ namespace {
 // atomic fd and wake_selfpipe() (async-signal-safe, errno-preserving).
 
 std::atomic<int> g_signal_wake_fd{-1};
-std::atomic<bool> g_signal_drain{false};
 std::atomic<std::atomic<bool>*> g_signal_target{nullptr};
 
 extern "C" void drain_signal_handler(int /*signum*/) {
-  g_signal_drain.store(true, std::memory_order_release);
   std::atomic<bool>* target = g_signal_target.load(std::memory_order_acquire);
   if (target != nullptr) target->store(true, std::memory_order_release);
   const int fd = g_signal_wake_fd.load(std::memory_order_acquire);
@@ -36,17 +36,9 @@ extern "C" void drain_signal_handler(int /*signum*/) {
 struct sigaction g_old_term;
 struct sigaction g_old_int;
 
-/// Builds one well-formed error reply frame. Every rejection the front end
-/// produces goes through here, so no failure mode is ever a silent drop.
-std::string error_frame(const std::string& id, core::StatusCode status,
-                        const std::string& message) {
-  service::Response resp;
-  resp.id = id;
-  resp.status = status;
-  resp.error = message;
-  resp.diag.record("net/server", status, 0, 0.0, message);
-  return encode_frame(service::response_to_json(resp).dump(-1));
-}
+/// Diag kernel of every reply the front end builds itself: each rejection
+/// is a well-formed typed frame, so no failure mode is a silent drop.
+const std::string kWhere = "net/server";
 
 /// The request id of a parsed-but-possibly-malformed payload, best effort.
 std::string probe_id(const report::Json& doc) {
@@ -57,9 +49,9 @@ std::string probe_id(const report::Json& doc) {
 }  // namespace
 
 Server::Server(NetConfig config)
-    : config_(std::move(config)),
-      service_(config_.service),
-      shared_(std::make_shared<Shared>()) {
+    : config_(std::move(config)), shared_(std::make_shared<Shared>()) {
+  if (!config_.handler)
+    throw std::invalid_argument("net/server: NetConfig::handler is empty");
   if (!make_selfpipe(wake_read_, shared_->wake_fd)) {
     core::SolverDiag diag;
     const std::string what =
@@ -235,12 +227,13 @@ void Server::begin_drain() {
 void Server::force_drain() {
   forced_ = true;
   drain_cancel_.request_cancel();
+  const std::string frame = response_frame(service::failure_response(
+      "", core::StatusCode::kDeadlineExceeded, kWhere,
+      "connection closed: drain timeout expired with work in flight"));
   for (auto& entry : connections_) {
     Connection& conn = *entry.second;
     if (!conn.closed()) {
-      conn.try_send_now(error_frame(
-          "", core::StatusCode::kDeadlineExceeded,
-          "connection closed: drain timeout expired with work in flight"));
+      conn.try_send_now(frame);
       conn.close();
     }
   }
@@ -277,13 +270,13 @@ void Server::accept_ready() {
     Fd fd(static_cast<int>(accepted.n));
     ++stats_.accepted;
     if (draining_ || connections_.size() >= config_.max_connections) {
-      // Connection-level admission control, distinct from the queue
-      // admission inside service::Server: the peer gets one well-formed
-      // overload frame, then the socket closes.
-      const std::string frame = error_frame(
-          "", core::StatusCode::kRejectedOverload,
+      // Connection-level admission control, distinct from any admission
+      // inside the handler: the peer gets one well-formed overload frame,
+      // then the socket closes.
+      const std::string frame = response_frame(service::failure_response(
+          "", core::StatusCode::kRejectedOverload, kWhere,
           draining_ ? "connection rejected: server is draining"
-                    : "connection rejected: connection limit reached");
+                    : "connection rejected: connection limit reached"));
       std::size_t sent = 0;
       while (sent < frame.size()) {
         const IoResult r =
@@ -302,41 +295,34 @@ void Server::accept_ready() {
 }
 
 void Server::handle_read_event(Connection& conn, ReadEvent event) {
+  std::string violation;
   switch (event) {
     case ReadEvent::kOk:
     case ReadEvent::kCleanEof:
       // Clean EOF: the peer half-closed after its last frame; in-flight
       // replies still flush before the connection closes (half-close
       // mid-reply support). Connection already left kReading by itself.
-      break;
+      return;
     case ReadEvent::kTruncatedEof:
-      ++stats_.protocol_errors;
-      conn.enqueue_reply(
-          conn.next_seq(),
-          error_frame("", core::StatusCode::kInvalidInput,
-                      "truncated frame: connection half-closed mid-frame"));
+      violation = "truncated frame: connection half-closed mid-frame";
       break;
     case ReadEvent::kBadMagic:
-      ++stats_.protocol_errors;
-      conn.enqueue_reply(
-          conn.next_seq(),
-          error_frame("", core::StatusCode::kInvalidInput,
-                      "bad frame magic: stream is not DSM1-framed"));
+      violation = "bad frame magic: stream is not DSM1-framed";
       break;
     case ReadEvent::kOversized:
-      ++stats_.protocol_errors;
-      conn.enqueue_reply(
-          conn.next_seq(),
-          error_frame("", core::StatusCode::kInvalidInput,
-                      "oversized frame: declared length exceeds " +
-                          std::to_string(config_.max_frame_bytes) +
-                          " bytes"));
+      violation = "oversized frame: declared length exceeds " +
+                  std::to_string(config_.max_frame_bytes) + " bytes";
       break;
     case ReadEvent::kReset:
       ++stats_.resets;
       conn.close();
-      break;
+      return;
   }
+  ++stats_.protocol_errors;
+  conn.enqueue_reply(conn.next_seq(),
+                     response_frame(service::failure_response(
+                         "", core::StatusCode::kInvalidInput, kWhere,
+                         std::move(violation))));
 }
 
 std::string Server::ping_reply_frame(const report::Json& doc) {
@@ -354,10 +340,11 @@ std::string Server::ping_reply_frame(const report::Json& doc) {
            report::Json::integer(static_cast<long long>(
                shared_->outstanding.load(std::memory_order_acquire))))
       .set("degradation", std::move(degradation));
-  // Solve-cache health, when the in-process service has a cache.
-  if (config_.service.solve_cache != nullptr)
-    root.set("cache", config_.service.solve_cache->cache_json());
-  if (config_.health_source) root.set("supervise", config_.health_source());
+  if (config_.health_source) {
+    const report::Json health = config_.health_source();
+    for (std::size_t i = 0; i < health.size(); ++i)
+      root.set(health.member(i).first, health.member(i).second);
+  }
   return encode_frame(root.dump(-1));
 }
 
@@ -368,10 +355,10 @@ void Server::dispatch_frame(Connection& conn, const std::string& payload) {
     doc = report::Json::parse(payload);
   } catch (const SolveError& e) {
     ++stats_.invalid_requests;
-    conn.enqueue_reply(
-        seq, error_frame("", core::StatusCode::kInvalidInput,
-                         std::string("malformed request payload: ") +
-                             e.what()));
+    conn.enqueue_reply(seq, response_frame(service::failure_response(
+                                "", core::StatusCode::kInvalidInput, kWhere,
+                                std::string("malformed request payload: ") +
+                                    e.what())));
     return;
   }
 
@@ -387,13 +374,15 @@ void Server::dispatch_frame(Connection& conn, const std::string& payload) {
     request = service::request_from_json(doc);
   } catch (const SolveError& e) {
     ++stats_.invalid_requests;
-    conn.enqueue_reply(seq, error_frame(probe_id(doc), e.status(), e.what()));
+    conn.enqueue_reply(seq, response_frame(service::failure_response(
+                                probe_id(doc), e.status(), kWhere, e.what())));
     return;
   } catch (const std::exception& e) {
     ++stats_.invalid_requests;
-    conn.enqueue_reply(
-        seq, error_frame(probe_id(doc), core::StatusCode::kInvalidInput,
-                         std::string("invalid request: ") + e.what()));
+    conn.enqueue_reply(seq, response_frame(service::failure_response(
+                                probe_id(doc), core::StatusCode::kInvalidInput,
+                                kWhere,
+                                std::string("invalid request: ") + e.what())));
     return;
   }
   dispatch_request(conn, seq, request);
@@ -401,23 +390,18 @@ void Server::dispatch_frame(Connection& conn, const std::string& payload) {
 
 void Server::dispatch_request(Connection& conn, std::uint64_t seq,
                               const service::Request& request) {
-  if (draining_) {
-    conn.enqueue_reply(
-        seq, error_frame(request.id, core::StatusCode::kRejectedOverload,
-                         "request rejected: server is draining"));
-    ++stats_.rejected_inflight;
-    return;
-  }
-  const std::size_t total =
-      shared_->outstanding.load(std::memory_order_acquire);
-  if (conn.inflight() >= config_.max_inflight_per_connection ||
-      total >= config_.max_inflight_total) {
-    conn.enqueue_reply(
-        seq,
-        error_frame(request.id, core::StatusCode::kRejectedOverload,
-                    conn.inflight() >= config_.max_inflight_per_connection
-                        ? "request rejected: per-connection in-flight cap"
-                        : "request rejected: server in-flight cap"));
+  const char* rejection = nullptr;
+  if (draining_)
+    rejection = "request rejected: server is draining";
+  else if (conn.inflight() >= config_.max_inflight_per_connection)
+    rejection = "request rejected: per-connection in-flight cap";
+  else if (shared_->outstanding.load(std::memory_order_acquire) >=
+           config_.max_inflight_total)
+    rejection = "request rejected: server in-flight cap";
+  if (rejection != nullptr) {
+    conn.enqueue_reply(seq, response_frame(service::failure_response(
+                                request, core::StatusCode::kRejectedOverload,
+                                kWhere, rejection)));
     ++stats_.rejected_inflight;
     return;
   }
@@ -450,22 +434,19 @@ void Server::dispatch_request(Connection& conn, std::uint64_t seq,
         ctx.set_deadline(std::chrono::steady_clock::now() +
                          std::chrono::nanoseconds(budget_ns));
       core::ScopedRunContext scope(ctx);
-      if (config_.frame_handler) {
-        frame = config_.frame_handler(request,
-                                      static_cast<std::uint64_t>(seq));
-      } else {
-        const service::Response response = service_.handle(request);
-        frame = encode_frame(service::response_to_json(response).dump(-1));
-      }
+      frame = config_.handler(request, seq);
     } catch (const std::bad_alloc&) {
-      frame = error_frame(request.id, core::StatusCode::kRejectedOverload,
-                          "allocation failure: request shed");
+      frame = response_frame(service::failure_response(
+          request, core::StatusCode::kRejectedOverload, kWhere,
+          "allocation failure: request shed"));
     } catch (const std::exception& e) {
-      frame = error_frame(request.id, core::StatusCode::kInvalidInput,
-                          std::string("internal error: ") + e.what());
+      frame = response_frame(service::failure_response(
+          request, core::StatusCode::kInvalidInput, kWhere,
+          std::string("internal error: ") + e.what()));
     } catch (...) {
-      frame = error_frame(request.id, core::StatusCode::kInvalidInput,
-                          "internal error: unknown exception");
+      frame = response_frame(service::failure_response(
+          request, core::StatusCode::kInvalidInput, kWhere,
+          "internal error: unknown exception"));
     }
     // Hand-off order matters: park the reply, then retire the outstanding
     // count, then wake. After the decrement this worker touches only the
@@ -509,8 +490,8 @@ void Server::reap(std::uint64_t tick) {
 
 void Server::evict(Connection& conn, std::uint64_t& counter, const char* why) {
   ++counter;
-  conn.try_send_now(
-      error_frame("", core::StatusCode::kDeadlineExceeded, why));
+  conn.try_send_now(response_frame(service::failure_response(
+      "", core::StatusCode::kDeadlineExceeded, kWhere, why)));
   conn.close();
 }
 

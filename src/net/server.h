@@ -1,4 +1,5 @@
-// Multi-worker socket front end over the fault-tolerant request service.
+// Multi-worker socket front end: a transport that answers every solve
+// request through one handler.
 //
 // One net::Server is one event loop (the thread that calls run()) plus the
 // process-global bounded thread pool as its worker fleet:
@@ -9,9 +10,15 @@
 //   accept / admission control           install RunContext (merged budget:
 //   parse frames, assign seqs            request deadline ∩ eviction budget,
 //   inline replies (ping, errors)        drain cancel token)
-//   dispatch solve requests ───────►     service::Server::handle(req)
+//   dispatch solve requests ───────►     config.handler(request, seq)
 //   apply completion queue ◄───────      push reply frame, wake self-pipe
 //   flush outbound, reap, drain
+//
+// The handler is the backend: dsmt_serve wires it to an in-process
+// service::Server or to a supervise::WorkerPool. The server itself knows
+// neither. Every reply it builds on its own (rejections, protocol errors,
+// evictions, escaped exceptions) comes from service::failure_response and
+// net::response_frame, like the backend's replies.
 //
 // Threading contract: Listener and every Connection are event-loop-only.
 // Workers share exactly three things with the loop, each with its own
@@ -24,8 +31,8 @@
 // Admission is layered, and every rejection is a well-formed error frame —
 // never a silent drop:
 //   * connection admission: accepts beyond max_connections get one
-//     kRejectedOverload frame and an immediate close (distinct from queue
-//     admission inside service::Server);
+//     kRejectedOverload frame and an immediate close (distinct from any
+//     admission inside the handler);
 //   * in-flight caps: a parsed request over max_inflight_per_connection or
 //     max_inflight_total is answered kRejectedOverload inline;
 //   * protocol violations (bad magic, oversized frame, truncated frame) are
@@ -61,7 +68,8 @@
 #include "net/connection.h"
 #include "net/listener.h"
 #include "net/socket_io.h"
-#include "service/server.h"
+#include "report/json.h"
+#include "service/request.h"
 
 namespace dsmt::net {
 
@@ -90,18 +98,16 @@ struct NetConfig {
   /// Per-request deadline [ns] merged (min) with the eviction budget into
   /// the worker's RunContext (0 = eviction budget only).
   std::uint64_t request_deadline_ns = 0;
-  service::ServerConfig service;
-  /// Process-isolation hook: when set, solve requests bypass the in-process
-  /// service and this handler returns the COMPLETE reply frame for
-  /// (request, seq) — the supervised worker-pool path. Runs on pool worker
-  /// threads under the same merged-deadline RunContext as the in-process
-  /// path; it must always return a well-formed frame, never throw for
-  /// per-request failures.
-  std::function<std::string(const service::Request&, std::uint64_t)>
-      frame_handler;
-  /// When set, ping replies carry this document under a "supervise" key
-  /// (worker fleet health + poison-quarantine table). Event-loop thread
-  /// only.
+  /// Required: returns the COMPLETE reply frame for (request, seq), where
+  /// seq is the request's position on its connection. Runs on pool worker
+  /// threads under a RunContext carrying the merged request budget and the
+  /// drain cancel token. It must answer per-request failures with a typed
+  /// frame; an exception that escapes is still answered, as overload
+  /// (std::bad_alloc) or as an internal error.
+  std::function<std::string(const service::Request&, std::uint64_t)> handler;
+  /// When set, every member of the object it returns is appended to each
+  /// ping reply after the server's own (the backend's health: a solve
+  /// cache, a worker fleet). Event-loop thread only.
   std::function<report::Json()> health_source;
 };
 
@@ -126,6 +132,8 @@ struct NetStats {
 
 class Server {
  public:
+  /// Throws std::invalid_argument when config.handler is empty, and
+  /// dsmt::SolveError (kInvalidInput) when the self-pipe cannot be made.
   explicit Server(NetConfig config);
   ~Server();
   Server(const Server&) = delete;
@@ -152,7 +160,6 @@ class Server {
 
   std::uint16_t bound_port() const { return listener_.bound_port(); }
   const NetConfig& config() const { return config_; }
-  service::Server& service() { return service_; }
 
  private:
   /// One finished request: the encoded reply frame headed back to its
@@ -188,7 +195,6 @@ class Server {
   std::uint64_t now_tick() const;
 
   const NetConfig config_;
-  service::Server service_;
   Listener listener_;  // R10-ok: event-loop-only (threading contract above)
   std::shared_ptr<Shared> shared_;
   Fd wake_read_;  // R10-ok: event-loop-only (threading contract above)

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "service/request.h"
+
 namespace dsmt::net {
 
 std::string encode_frame(const std::string& payload) {
@@ -15,6 +17,10 @@ std::string encode_frame(const std::string& payload) {
   frame.push_back(static_cast<char>(len & 0xFF));
   frame.append(payload);
   return frame;
+}
+
+std::string response_frame(const service::Response& response) {
+  return encode_frame(service::response_to_json(response).dump(-1));
 }
 
 FrameDecoder::FrameDecoder(std::size_t max_frame_bytes)

@@ -32,6 +32,10 @@
 #include <cstdint>
 #include <string>
 
+namespace dsmt::service {
+struct Response;
+}  // namespace dsmt::service
+
 namespace dsmt::net {
 
 inline constexpr std::size_t kFrameHeaderBytes = 8;
@@ -52,6 +56,10 @@ enum class FrameStatus {
 /// Wraps `payload` in a wire frame (header + bytes). The caller enforces
 /// any size cap; encoding itself is total for payloads < 2^32 bytes.
 std::string encode_frame(const std::string& payload);
+
+/// The one encoder of a reply, on a socket or the supervision channel:
+/// encode_frame of service::response_to_json(response), dumped compact.
+std::string response_frame(const service::Response& response);
 
 /// Incremental frame decoder for one connection's inbound byte stream.
 class FrameDecoder {

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <initializer_list>
 #include <stdexcept>
+#include <utility>
 
 #include "materials/dielectric.h"
 #include "materials/metal.h"
@@ -193,6 +194,38 @@ report::Json response_to_json(const Response& resp) {
   }
   node.set("diag", report::diag_to_json(resp.diag));
   return node;
+}
+
+Response failure_response(const Request& request, core::StatusCode status,
+                          const std::string& where, std::string error,
+                          std::string note) {
+  Response resp = failure_response(request.id, status, where,
+                                   std::move(error), std::move(note));
+  resp.kind = request.kind;
+  return resp;
+}
+
+Response failure_response(std::string id, core::StatusCode status,
+                          const std::string& where, std::string error,
+                          std::string note) {
+  Response resp;
+  resp.id = std::move(id);
+  resp.status = status;
+  if (!where.empty())
+    resp.diag.record(where, status, 0, 0.0,
+                     note.empty() ? error : std::move(note));
+  resp.error = std::move(error);
+  return resp;
+}
+
+Response failure_response(const Request& request, const SolveError& error) {
+  Response resp;
+  resp.id = request.id;
+  resp.kind = request.kind;
+  resp.status = error.status();
+  resp.error = error.what();
+  resp.diag = error.diag();
+  return resp;
 }
 
 std::vector<Request> parse_batch(const std::string& text) {

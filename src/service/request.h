@@ -13,7 +13,10 @@
 // with `degradation_level` and a conservative-direction guarantee on j_rms),
 // kRejectedOverload from admission control, or a classified failure. The
 // full SolverDiag chain (the solve attempt and the degradation rung) rides
-// along for diagnostics.
+// along for diagnostics. Every failure reply, whichever layer answers it
+// (service, socket front end, supervise pool or worker), is built by
+// failure_response(), so a reply to a decoded request echoes its id and
+// kind on every path.
 #pragma once
 
 #include <cstddef>
@@ -102,6 +105,24 @@ Request request_from_json(const report::Json& node);
 
 report::Json request_to_json(const Request& request);
 report::Json response_to_json(const Response& response);
+
+/// The one constructor of failure replies. Echoes the request's id and
+/// kind, sets `status` and `error`, and records one diag event at `where`
+/// whose note is `note`, or `error` when `note` is empty. An empty `where`
+/// records no event (the supervise pool's lease failures carry none).
+Response failure_response(const Request& request, core::StatusCode status,
+                          const std::string& where, std::string error,
+                          std::string note = {});
+
+/// The same reply to bytes that never decoded into a request: only the
+/// best-effort `id` is echoed, and the kind keeps its default.
+Response failure_response(std::string id, core::StatusCode status,
+                          const std::string& where, std::string error,
+                          std::string note = {});
+
+/// The failure reply to `request` for `error`: its status, its what() and
+/// its diag chain.
+Response failure_response(const Request& request, const SolveError& error);
 
 /// Parses a batch document: a bare array of request objects, or an object
 /// carrying a "requests" array. Throws dsmt::SolveError (kInvalidInput).

@@ -40,18 +40,6 @@ Server::~Server() {
   if (config_.publish_signoff) core::clear_signoff_service_source(this);
 }
 
-Response Server::shed_response(const Request& request) {
-  Response resp;
-  resp.id = request.id;
-  resp.kind = request.kind;
-  resp.status = core::StatusCode::kRejectedOverload;
-  resp.error = "shed at admission: burst exceeded queue capacity " +
-               std::to_string(config_.queue_capacity);
-  resp.diag.record("service/admission", core::StatusCode::kRejectedOverload,
-                   0, 0.0, resp.error);
-  return resp;
-}
-
 std::vector<Response> Server::submit_batch(
     const std::vector<Request>& batch) {
   received_ += batch.size();
@@ -69,7 +57,10 @@ std::vector<Response> Server::submit_batch(
     if (admitted.size() < capacity) {
       admitted.push_back(i);
     } else {
-      out[i] = shed_response(batch[i]);
+      out[i] = failure_response(
+          batch[i], core::StatusCode::kRejectedOverload, "service/admission",
+          "shed at admission: burst exceeded queue capacity " +
+              std::to_string(config_.queue_capacity));
       served[i] = 1;
       ++shed_;
     }
@@ -89,11 +80,7 @@ std::vector<Response> Server::submit_batch(
     // let the interruption propagate to the caller who armed it.
     for (const std::size_t i : admitted) {
       if (served[i]) continue;
-      out[i].id = batch[i].id;
-      out[i].kind = batch[i].kind;
-      out[i].status = interruption.status();
-      out[i].error = interruption.what();
-      out[i].diag = interruption.diag();
+      out[i] = failure_response(batch[i], interruption);
       ++failed_;
     }
     throw;
@@ -111,62 +98,35 @@ Response Server::guarded_execute(const Request& request) {
   try {
     return execute(request);
   } catch (const SolveError& e) {
-    Response resp;
-    resp.id = request.id;
-    resp.kind = request.kind;
-    resp.status = e.status();
-    resp.error = e.what();
-    resp.diag = e.diag();
     ++failed_;
-    return resp;
+    return failure_response(request, e);
   } catch (const std::bad_alloc&) {
     // Allocation failure is admission-boundary overload, not bad input:
     // shed this request with the overload status so callers retry it
     // elsewhere instead of discarding it as malformed. Deliberately builds
     // only a slim response — the heap just refused us.
-    Response resp;
-    resp.id = request.id;
-    resp.kind = request.kind;
-    resp.status = core::StatusCode::kRejectedOverload;
-    resp.error = "allocation failure: request shed at admission";
-    resp.diag.record("service/admission", core::StatusCode::kRejectedOverload,
-                     0, 0.0, "allocation failure: request shed at admission");
     ++shed_;
-    return resp;
+    return failure_response(request, core::StatusCode::kRejectedOverload,
+                            "service/admission",
+                            "allocation failure: request shed at admission");
   } catch (const std::exception& e) {
-    Response resp;
-    resp.id = request.id;
-    resp.kind = request.kind;
-    resp.status = core::StatusCode::kInvalidInput;
-    resp.error = e.what();
-    resp.diag.record("service/execute", core::StatusCode::kInvalidInput, 0,
-                     0.0, e.what());
     ++failed_;
-    return resp;
+    return failure_response(request, core::StatusCode::kInvalidInput,
+                            "service/execute", e.what());
   }
 }
 
 Response Server::execute(const Request& request) {
-  Response resp;
-  resp.id = request.id;
-  resp.kind = request.kind;
-
   LadderProblem ladder;
   try {
     ladder = build_problem(request);
   } catch (const SolveError& e) {
-    resp.status = e.status();
-    resp.error = e.what();
-    resp.diag = e.diag();
     ++failed_;
-    return resp;
+    return failure_response(request, e);
   } catch (const std::exception& e) {
-    resp.status = core::StatusCode::kInvalidInput;
-    resp.error = e.what();
-    resp.diag.record("service/request", core::StatusCode::kInvalidInput, 0,
-                     0.0, e.what());
     ++failed_;
-    return resp;
+    return failure_response(request, core::StatusCode::kInvalidInput,
+                            "service/request", e.what());
   }
 
   // Per-request deadline budget, unless the caller's ambient deadline is
@@ -204,6 +164,9 @@ Response Server::execute(const Request& request) {
   // Rung 0: one full quasi-2D solve. It is pure, so a failure is a property
   // of this request's inputs: it steps this request down the ladder and
   // changes nothing for any other.
+  Response resp;
+  resp.id = request.id;
+  resp.kind = request.kind;
   resp.attempts = 1;
   bool solved = false;
   selfconsistent::Solution solution;

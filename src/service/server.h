@@ -102,7 +102,6 @@ class Server {
  private:
   Response execute(const Request& request);
   Response guarded_execute(const Request& request);
-  Response shed_response(const Request& request);
 
   const ServerConfig config_;
   std::atomic<std::uint64_t> received_{0};

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <csignal>
 #include <exception>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -72,28 +73,9 @@ std::size_t probe_payload_cap(std::size_t want_payload) {
   return granted < want_payload ? granted : want_payload;
 }
 
-service::Response base_response(const service::Request& request,
-                                StatusCode status, std::string error) {
-  service::Response resp;
-  resp.id = request.id;
-  resp.kind = request.kind;
-  resp.status = status;
-  resp.error = std::move(error);
-  return resp;
-}
-
-/// Encodes a parent-built response as the DSM1 frame the caller forwards.
-ExecuteResult to_result(const service::Response& resp) {
-  ExecuteResult result;
-  result.status = resp.status;
-  result.frame =
-      net::encode_frame(service::response_to_json(resp).dump(-1));
-  return result;
-}
-
-}  // namespace
-
-namespace {
+/// Diag kernel of the parent's own replies to requests a worker did not
+/// answer.
+const std::string kWhere = "supervise/pool";
 
 /// Children must never inherit a solve cache: its AppendLog fd would cross
 /// fork() and every child would append to one segment file.
@@ -137,6 +119,16 @@ WorkerPool::~WorkerPool() {
 
 ExecuteResult WorkerPool::execute(const service::Request& request,
                                   std::uint64_t seq) {
+  ExecuteResult result;
+  if (const std::optional<service::Response> own =
+          serve(request, seq, result))
+    result = ExecuteResult{own->status, net::response_frame(*own)};
+  return result;
+}
+
+std::optional<service::Response> WorkerPool::serve(
+    const service::Request& request, std::uint64_t seq,
+    ExecuteResult& forwarded) {
   const std::uint64_t hash = canonical_request_hash(request);
   int quarantined_crashes = 0;
   {
@@ -151,7 +143,7 @@ ExecuteResult WorkerPool::execute(const service::Request& request,
     }
   }
   if (quarantined_crashes > 0)
-    return quarantined_result(request, hash, quarantined_crashes);
+    return quarantine_reply(request, hash, quarantined_crashes);
 
   const std::string message = encode_request_message(seq, request);
   if (message.size() > kMessageOverheadBytes + payload_cap_) {
@@ -161,21 +153,18 @@ ExecuteResult WorkerPool::execute(const service::Request& request,
       MutexLock lock(mu_);
       ++stats_.oversize_refusals;
     }
-    service::Response resp = base_response(
-        request, StatusCode::kInvalidInput,
-        "request exceeds the supervision channel datagram capacity");
-    resp.diag.record(
-        "supervise/pool", StatusCode::kInvalidInput, 0, 0.0,
+    return service::failure_response(
+        request, StatusCode::kInvalidInput, kWhere,
+        "request exceeds the supervision channel datagram capacity",
         "encoded request is " + std::to_string(message.size()) +
             " bytes; the channel carries at most " +
             std::to_string(kMessageOverheadBytes + payload_cap_) +
             " (max_payload_bytes clamped to the socket buffer grant)");
-    return to_result(resp);
   }
   for (int attempt = 0; attempt < 2; ++attempt) {
     Lease lease;
-    ExecuteResult failure;
-    if (!acquire(lease, failure, request)) return failure;
+    if (std::optional<service::Response> refused = acquire(lease, request))
+      return refused;
     const int send_error = send_message(lease.fd, message);
     if (send_error == EPIPE || send_error == ECONNRESET) {
       // The worker died while idle — before it ever saw this request, so
@@ -196,37 +185,31 @@ ExecuteResult WorkerPool::execute(const service::Request& request,
       const StatusCode st = send_error == EMSGSIZE
                                 ? StatusCode::kInvalidInput
                                 : StatusCode::kRejectedOverload;
-      service::Response resp = base_response(
-          request, st, "supervision channel send failed; request not run");
-      resp.diag.record("supervise/pool", st, 0, 0.0,
-                       "send to worker pid " + std::to_string(lease.pid) +
-                           " failed with errno " +
-                           std::to_string(send_error) +
-                           "; worker left in service");
-      return to_result(resp);
+      return service::failure_response(
+          request, st, kWhere,
+          "supervision channel send failed; request not run",
+          "send to worker pid " + std::to_string(lease.pid) +
+              " failed with errno " + std::to_string(send_error) +
+              "; worker left in service");
     }
-    return await_reply(lease, request, hash, seq);
+    return await_reply(lease, request, hash, seq, forwarded);
   }
-  service::Response resp = base_response(
-      request, StatusCode::kWorkerCrashed,
-      "workers died before accepting the request");
-  resp.diag.record("supervise/pool", StatusCode::kWorkerCrashed, 0, 0.0,
-                   "two consecutive workers were dead at send time");
-  return to_result(resp);
+  return service::failure_response(
+      request, StatusCode::kWorkerCrashed, kWhere,
+      "workers died before accepting the request",
+      "two consecutive workers were dead at send time");
 }
 
-bool WorkerPool::acquire(Lease& lease, ExecuteResult& failure,
-                         const service::Request& request) {
+std::optional<service::Response> WorkerPool::acquire(
+    Lease& lease, const service::Request& request) {
   std::size_t index = 0;
   bool needs_fork = false;
   {
     MutexLock lock(mu_);
     for (;;) {
-      if (shut_down_) {
-        failure = to_result(base_response(request, StatusCode::kCancelled,
-                                          "worker pool is shut down"));
-        return false;
-      }
+      if (shut_down_)
+        return service::failure_response(request, StatusCode::kCancelled, "",
+                                         "worker pool is shut down");
       index = slots_.size();
       // Prefer a live idle worker; only restart a dead slot when no live
       // one is free (keeps restart churn off the hot path).
@@ -243,12 +226,10 @@ bool WorkerPool::acquire(Lease& lease, ExecuteResult& failure,
           }
       if (index != slots_.size()) break;
       const StatusCode st = core::run_check();
-      if (st != StatusCode::kOk) {
-        failure = to_result(base_response(
-            request, st,
-            "no worker became available within the request budget"));
-        return false;
-      }
+      if (st != StatusCode::kOk)
+        return service::failure_response(
+            request, st, "",
+            "no worker became available within the request budget");
       slot_free_.wait_for(
           mu_, std::chrono::milliseconds(config_.poll_interval_ms));
     }
@@ -257,7 +238,7 @@ bool WorkerPool::acquire(Lease& lease, ExecuteResult& failure,
     needs_fork = slot.dead;
     if (!needs_fork) lease = Lease{index, slot.channel.get(), slot.pid};
   }
-  if (!needs_fork) return true;
+  if (!needs_fork) return std::nullopt;
 
   // Deterministic restart pacing: the seeded-backoff schedule as a pure
   // function of (slot, consecutive restart count) — bitwise identical
@@ -281,9 +262,8 @@ bool WorkerPool::acquire(Lease& lease, ExecuteResult& failure,
       const StatusCode st = core::run_check();
       if (st != StatusCode::kOk) {
         release(index);
-        failure = to_result(base_response(
-            request, st, "request interrupted during worker restart"));
-        return false;
+        return service::failure_response(
+            request, st, "", "request interrupted during worker restart");
       }
       const std::uint64_t step =
           (delay_ns - slept) < chunk ? (delay_ns - slept) : chunk;
@@ -297,15 +277,14 @@ bool WorkerPool::acquire(Lease& lease, ExecuteResult& failure,
   if (!spawn_slot(slot)) {
     slot.busy = false;
     slot_free_.notify_one();
-    failure = to_result(base_response(request, StatusCode::kWorkerCrashed,
-                                      "cannot fork a replacement worker"));
-    return false;
+    return service::failure_response(request, StatusCode::kWorkerCrashed, "",
+                                     "cannot fork a replacement worker");
   }
   ++stats_.forks;
   ++stats_.restarts;
   ++slot.consecutive_restarts;
   lease = Lease{index, slot.channel.get(), slot.pid};
-  return true;
+  return std::nullopt;
 }
 
 void WorkerPool::release(std::size_t index) {
@@ -314,10 +293,9 @@ void WorkerPool::release(std::size_t index) {
   slot_free_.notify_one();
 }
 
-ExecuteResult WorkerPool::await_reply(const Lease& lease,
-                                      const service::Request& request,
-                                      std::uint64_t hash,
-                                      std::uint64_t seq) {
+std::optional<service::Response> WorkerPool::await_reply(
+    const Lease& lease, const service::Request& request, std::uint64_t hash,
+    std::uint64_t seq, ExecuteResult& forwarded) {
   const auto start = std::chrono::steady_clock::now();
   std::string buffer(kMessageOverheadBytes + payload_cap_, '\0');
   for (;;) {
@@ -353,20 +331,17 @@ ExecuteResult WorkerPool::await_reply(const Lease& lease,
       }
       int crashes = 0;
       if (pool_deadline) crashes = note_crash(hash);
-      service::Response resp = base_response(
-          request, st,
+      return service::failure_response(
+          request, st, kWhere,
           pool_deadline
               ? "worker exceeded the supervised reply deadline and was "
                 "killed"
-              : "request interrupted: worker killed by the supervisor");
-      resp.diag.record(
-          "supervise/pool", st, 0, 0.0,
+              : "request interrupted: worker killed by the supervisor",
           "worker pid " + std::to_string(lease.pid) +
               " killed (SIGKILL) while serving hash " + hash_hex(hash) +
               (crashes > 0 ? "; crash " + std::to_string(crashes) + "/" +
                                  std::to_string(config_.quarantine_threshold)
                            : std::string{}));
-      return to_result(resp);
     }
 
     pollfd pfd{};
@@ -400,7 +375,8 @@ ExecuteResult WorkerPool::await_reply(const Lease& lease,
             quarantine_.erase(it);
         }
         release(lease.index);
-        return ExecuteResult{status, std::move(frame)};
+        forwarded = ExecuteResult{status, std::move(frame)};
+        return std::nullopt;
       }
       // A malformed datagram, a status outside core::StatusCode or a wrong
       // echo means the child is corrupted: its reply cannot be trusted, so
@@ -415,16 +391,13 @@ ExecuteResult WorkerPool::await_reply(const Lease& lease,
       long rss = 0;
       reap_crashed(lease, sig, code, rss);
       const int crashes = note_crash(hash);
-      service::Response resp = base_response(
-          request, StatusCode::kWorkerCrashed,
-          "worker IPC protocol violation: reply discarded");
-      resp.diag.record("supervise/pool", StatusCode::kWorkerCrashed, 0, 0.0,
-                       "worker pid " + std::to_string(lease.pid) +
-                           " echoed a corrupt reply for hash " +
-                           hash_hex(hash) + "; crash " +
-                           std::to_string(crashes) + "/" +
-                           std::to_string(config_.quarantine_threshold));
-      return to_result(resp);
+      return service::failure_response(
+          request, StatusCode::kWorkerCrashed, kWhere,
+          "worker IPC protocol violation: reply discarded",
+          "worker pid " + std::to_string(lease.pid) +
+              " echoed a corrupt reply for hash " + hash_hex(hash) +
+              "; crash " + std::to_string(crashes) + "/" +
+              std::to_string(config_.quarantine_threshold));
     }
 
     // EOF (or reset): the worker died serving this request.
@@ -433,7 +406,16 @@ ExecuteResult WorkerPool::await_reply(const Lease& lease,
     long rss = 0;
     reap_crashed(lease, sig, code, rss);
     const int crashes = note_crash(hash);
-    return crashed_result(request, lease, hash, sig, code, rss, crashes);
+    const std::string how =
+        sig != 0 ? signal_label(sig) : "exit code " + std::to_string(code);
+    return service::failure_response(
+        request, StatusCode::kWorkerCrashed, kWhere,
+        "worker crashed serving the request (" + how + ")",
+        "worker pid " + std::to_string(lease.pid) + " died: " + how +
+            "; maxrss_kb=" + std::to_string(rss) + "; crash " +
+            std::to_string(crashes) + "/" +
+            std::to_string(config_.quarantine_threshold) + " for hash " +
+            hash_hex(hash));
   }
 }
 
@@ -486,11 +468,10 @@ bool WorkerPool::spawn_slot(Slot& slot) {
   return true;
 }
 
-ExecuteResult WorkerPool::quarantined_result(const service::Request& request,
-                                             std::uint64_t hash,
-                                             int crashes) {
-  service::Response resp =
-      base_response(request, StatusCode::kWorkerCrashed, std::string{});
+service::Response WorkerPool::quarantine_reply(
+    const service::Request& request, std::uint64_t hash, int crashes) {
+  service::Response resp = service::failure_response(
+      request, StatusCode::kWorkerCrashed, "", std::string{});
   // The analytic rung is closed-form and iteration-free: no crash surface,
   // so the parent serves it directly — conservative by construction, the
   // same answer as the in-process rung 2.
@@ -503,7 +484,7 @@ ExecuteResult WorkerPool::quarantined_result(const service::Request& request,
         "hash " + hash_hex(hash) + " quarantined after " +
             std::to_string(crashes) +
             " worker crashes; served by the parent's analytic rung");
-    return to_result(resp);
+    return resp;
   } catch (const std::exception& e) {
     // The problem does not build (say, an unknown metal): no rung applies.
     resp.diag.record("supervise/quarantine", StatusCode::kInvalidInput, 0,
@@ -515,28 +496,7 @@ ExecuteResult WorkerPool::quarantined_result(const service::Request& request,
                    0.0,
                    "hash " + hash_hex(hash) +
                        ": refused without reaching a worker");
-  return to_result(resp);
-}
-
-ExecuteResult WorkerPool::crashed_result(const service::Request& request,
-                                         const Lease& lease,
-                                         std::uint64_t hash, int signal,
-                                         int exit_code, long maxrss_kb,
-                                         int crash_count) {
-  const std::string how =
-      signal != 0 ? signal_label(signal)
-                  : "exit code " + std::to_string(exit_code);
-  service::Response resp =
-      base_response(request, StatusCode::kWorkerCrashed,
-                    "worker crashed serving the request (" + how + ")");
-  resp.diag.record(
-      "supervise/pool", StatusCode::kWorkerCrashed, 0, 0.0,
-      "worker pid " + std::to_string(lease.pid) + " died: " + how +
-          "; maxrss_kb=" + std::to_string(maxrss_kb) + "; crash " +
-          std::to_string(crash_count) + "/" +
-          std::to_string(config_.quarantine_threshold) + " for hash " +
-          hash_hex(hash));
-  return to_result(resp);
+  return resp;
 }
 
 void WorkerPool::shutdown() {

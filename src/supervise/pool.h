@@ -50,10 +50,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
-
-#include <memory>
 
 #include "core/thread_annotations.h"
 #include "net/socket_io.h"
@@ -168,15 +168,24 @@ class WorkerPool {
     std::uint64_t refusals = 0;
   };
 
-  bool acquire(Lease& lease, ExecuteResult& failure,
-               const service::Request& request);
+  /// execute() without the encoding: fills `forwarded` with a worker's
+  /// reply, or returns the reply the parent answers itself (refusal,
+  /// death, kill, quarantine), for execute() to frame.
+  std::optional<service::Response> serve(const service::Request& request,
+                                         std::uint64_t seq,
+                                         ExecuteResult& forwarded);
+  /// Leases a worker into `lease`, or returns the reply to a request that
+  /// cannot get one (shut down, interrupted, no replacement fork).
+  std::optional<service::Response> acquire(Lease& lease,
+                                           const service::Request& request);
   void release(std::size_t index);
-  /// Polls the leased channel for the reply to (request, seq); classifies
-  /// EOF as a crash, a bad echo as a protocol violation, and interruption /
-  /// reply-deadline expiry as grounds to SIGKILL the worker.
-  ExecuteResult await_reply(const Lease& lease,
-                            const service::Request& request,
-                            std::uint64_t hash, std::uint64_t seq);
+  /// Polls the leased channel for the reply to (request, seq) and fills
+  /// `forwarded` with it; classifies EOF as a crash, a bad echo as a
+  /// protocol violation, and interruption / reply-deadline expiry as
+  /// grounds to SIGKILL the worker, returning the parent's reply for each.
+  std::optional<service::Response> await_reply(
+      const Lease& lease, const service::Request& request, std::uint64_t hash,
+      std::uint64_t seq, ExecuteResult& forwarded);
   /// Reaps the child of `lease` via the broker (SIGKILL first, so a live
   /// child can never block the reap), classifies the death, marks the slot
   /// dead.
@@ -186,12 +195,8 @@ class WorkerPool {
   int note_crash(std::uint64_t hash);
   /// Leases a fresh worker from the broker into `slot`.
   bool spawn_slot(Slot& slot) DSMT_REQUIRES(mu_);
-  ExecuteResult quarantined_result(const service::Request& request,
-                                   std::uint64_t hash, int crashes);
-  ExecuteResult crashed_result(const service::Request& request,
-                               const Lease& lease, std::uint64_t hash,
-                               int signal, int exit_code, long maxrss_kb,
-                               int crash_count);
+  service::Response quarantine_reply(const service::Request& request,
+                                     std::uint64_t hash, int crashes);
 
   const SuperviseConfig config_;
   // R10-ok: both set once in the constructor (single-threaded window) and

@@ -66,7 +66,7 @@ std::string encode_response_message(std::uint64_t seq,
   std::string out;
   put_be(out, seq, kSeqPrefixBytes);
   put_be(out, static_cast<std::uint64_t>(response.status), 1);
-  out += net::encode_frame(service::response_to_json(response).dump(-1));
+  out += net::response_frame(response);
   return out;
 }
 

@@ -55,8 +55,8 @@ std::string encode_request_message(std::uint64_t seq,
 bool decode_request_message(const char* data, std::size_t size,
                             std::uint64_t& seq, service::Request& request);
 
-/// One child->parent datagram: seq, response.status, then the DSM1 frame
-/// of response_to_json(response).
+/// One child->parent datagram: seq, response.status, then
+/// net::response_frame(response).
 std::string encode_response_message(std::uint64_t seq,
                                     const service::Response& response);
 

@@ -2,6 +2,7 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <new>
 #include <string>
 #include <vector>
@@ -24,16 +25,8 @@ bool apply_rlimit(int resource, std::uint64_t value) {
   return ::setrlimit(resource, &rl) == 0;
 }
 
-/// A response the worker can always afford to build: id/status/error only.
-service::Response slim_error(const std::string& id, core::StatusCode status,
-                             const std::string& note) {
-  service::Response resp;
-  resp.id = id;
-  resp.status = status;
-  resp.error = note;
-  resp.diag.record("supervise/worker", status, 0, 0.0, note);
-  return resp;
-}
+/// Diag kernel of every reply the worker builds itself.
+const std::string kWhere = "supervise/worker";
 
 }  // namespace
 
@@ -73,8 +66,9 @@ int run_worker(int channel_fd, service::ServerConfig service_config,
       if (!decode_request_message(buffer.data(),
                                   static_cast<std::size_t>(r.n), seq,
                                   request)) {
-        response = slim_error("", core::StatusCode::kInvalidInput,
-                              "malformed supervision datagram");
+        response = service::failure_response(
+            "", core::StatusCode::kInvalidInput, kWhere,
+            "malformed supervision datagram");
       } else {
         // Chaos hook: poison requests die HERE, in the child, by the armed
         // crash mechanism — the containment the supervisor exists to
@@ -83,12 +77,13 @@ int run_worker(int channel_fd, service::ServerConfig service_config,
         try {
           response = server.handle(request);
         } catch (const std::bad_alloc&) {
-          response = slim_error(request.id,
-                                core::StatusCode::kRejectedOverload,
-                                "allocation failure in worker: request shed");
+          response = service::failure_response(
+              request, core::StatusCode::kRejectedOverload, kWhere,
+              "allocation failure in worker: request shed");
         } catch (const std::exception& e) {
-          response = slim_error(request.id, core::StatusCode::kInvalidInput,
-                                std::string("worker error: ") + e.what());
+          response = service::failure_response(
+              request, core::StatusCode::kInvalidInput, kWhere,
+              std::string("worker error: ") + e.what());
         }
       }
 
@@ -110,21 +105,22 @@ int run_worker(int channel_fd, service::ServerConfig service_config,
                              "diag chain elided: full reply exceeds the "
                              "supervision datagram cap");
           reply = encode_response_message(seq, elided);
-          if (reply.size() > message_cap)
+          if (reply.size() > message_cap) {
             // Still over — only a pathological id can do this. Nothing
             // meaningful fits, so the status must say failure rather than
             // a success with every result field dropped.
+            request.id.resize(std::min<std::size_t>(request.id.size(), 128));
             reply = encode_response_message(
-                seq,
-                slim_error(response.id.substr(0, 128),
-                           core::StatusCode::kInvalidInput,
-                           "response exceeds the supervision datagram cap"));
+                seq, service::failure_response(
+                         request, core::StatusCode::kInvalidInput, kWhere,
+                         "response exceeds the supervision datagram cap"));
+          }
         }
       } catch (const std::exception& e) {
         reply = encode_response_message(
-            seq, slim_error(response.id, core::StatusCode::kInvalidInput,
-                            std::string("response encoding failed: ") +
-                                e.what()));
+            seq, service::failure_response(
+                     request, core::StatusCode::kInvalidInput, kWhere,
+                     std::string("response encoding failed: ") + e.what()));
       }
       if (send_message(channel_fd, reply) != 0)
         return 4;  // parent vanished mid-reply: nothing left to serve

@@ -17,13 +17,18 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <poll.h>
+
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/run_context.h"
 #include "net/server.h"
 #include "net/socket_io.h"
 #include "net/wire.h"
@@ -31,6 +36,7 @@
 #include "parallel/thread_pool.h"
 #include "report/json.h"
 #include "service/request.h"
+#include "service/server.h"
 #include "supervise/pool.h"
 
 namespace {
@@ -154,16 +160,28 @@ std::string request_payload(const std::string& id, double duty = 0.1) {
 
 class NetServerTest : public ::testing::Test {
  protected:
-  static net::NetConfig fast_config() {
+  /// Test timing, and the backend dsmt_serve wires in-process: every solve
+  /// request is answered by this fixture's service::Server.
+  net::NetConfig fast_config() {
     net::NetConfig config;
     config.tick_ms = 5;
     config.idle_timeout_ticks = 400;   // 2 s — far beyond any healthy test
     config.drain_timeout_ticks = 400;
-    config.service.publish_signoff = false;
+    config.handler = [this](const service::Request& request, std::uint64_t) {
+      return net::response_frame(service_.handle(request));
+    };
     return config;
   }
 
-  void start(net::NetConfig config = fast_config()) {
+  static service::ServerConfig unpublished() {
+    service::ServerConfig config;
+    config.publish_signoff = false;
+    return config;
+  }
+
+  void start() { start(fast_config()); }
+
+  void start(net::NetConfig config) {
     path_ = "/tmp/dsmt_net_test_" + std::to_string(::getpid()) + "_" +
             std::to_string(instance_counter_++) + ".sock";
     config.endpoint.kind = net::Endpoint::Kind::kUnix;
@@ -187,6 +205,7 @@ class NetServerTest : public ::testing::Test {
 
   static int instance_counter_;
   std::string path_;
+  service::Server service_{unpublished()};
   std::unique_ptr<net::Server> server_;
   std::thread thread_;
   net::NetStats stats_;
@@ -526,13 +545,24 @@ TEST_F(NetServerTest, RejectsRequestsBeyondInflightCapWithWellFormedFrame) {
             "rver\",\"status\":\"rejected-overload\",\"iterations\":0,\"residua"
             "l\":0,\"note\":\"request rejected: per-connection in-flight cap\"}"
             "]}}");
+  // The rejection of a decoded request echoes its kind, like every reply.
+  service::Request cell;
+  cell.id = "over-cap-cell";
+  cell.kind = service::RequestKind::kTableCell;
+  cell.technology = "NTRS-250nm-Cu";
+  ASSERT_TRUE(client.send_frame(service::request_to_json(cell).dump(-1)));
   report::Json doc;
+  ASSERT_TRUE(client.recv_json(doc));
+  EXPECT_EQ(id_of(doc), "over-cap-cell");
+  EXPECT_EQ(status_of(doc), "rejected-overload");
+  ASSERT_NE(doc.find("kind"), nullptr);
+  EXPECT_EQ(doc.find("kind")->as_string(), "table-cell");
   // Ping still answers: the cap rejects solves, not the connection.
   ASSERT_TRUE(client.send_frame("{\"kind\":\"ping\",\"id\":\"p\"}"));
   ASSERT_TRUE(client.recv_json(doc));
   EXPECT_EQ(status_of(doc), "ok");
   const net::NetStats stats = stop();
-  EXPECT_EQ(stats.rejected_inflight, 1u);
+  EXPECT_EQ(stats.rejected_inflight, 2u);
 }
 
 TEST_F(NetServerTest, PingReportsHealthAndDegradationState) {
@@ -540,8 +570,13 @@ TEST_F(NetServerTest, PingReportsHealthAndDegradationState) {
   Client client(path());
   ASSERT_TRUE(client.connected());
   ASSERT_TRUE(client.send_frame("{\"kind\":\"ping\",\"id\":\"health-1\"}"));
-  report::Json doc;
-  ASSERT_TRUE(client.recv_json(doc));
+  std::string payload;
+  ASSERT_TRUE(client.recv_frame(payload));
+  EXPECT_EQ(payload,
+            "{\"id\":\"health-1\",\"kind\":\"ping\",\"status\":\"ok\",\"dr"
+            "aining\":false,\"connections\":1,\"inflight\":0,\"degradation\""
+            ":{\"analytic_bound\":true}}");
+  const report::Json doc = report::Json::parse(payload);
   EXPECT_EQ(id_of(doc), "health-1");
   EXPECT_EQ(status_of(doc), "ok");
   const report::Json* kind = doc.find("kind");
@@ -563,6 +598,70 @@ TEST_F(NetServerTest, PingReportsHealthAndDegradationState) {
   EXPECT_EQ(degradation->find("interpolation"), nullptr);
 }
 
+TEST_F(NetServerTest, PingAppendsTheHealthSourceMembersAfterItsOwn) {
+  net::NetConfig config = fast_config();
+  config.health_source = [] {
+    return report::Json::object()
+        .set("cache", report::Json::object())
+        .set("supervise", report::Json::integer(2));
+  };
+  start(std::move(config));
+  Client client(path());
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(client.send_frame("{\"kind\":\"ping\",\"id\":\"hook\"}"));
+  std::string payload;
+  ASSERT_TRUE(client.recv_frame(payload));
+  EXPECT_EQ(payload,
+            "{\"id\":\"hook\",\"kind\":\"ping\",\"status\":\"ok\",\"draini"
+            "ng\":false,\"connections\":1,\"inflight\":0,\"degradation\":{\"a"
+            "nalytic_bound\":true},\"cache\":{},\"supervise\":2}");
+}
+
+TEST(NetServer, RefusesAConfigWithoutAHandler) {
+  EXPECT_THROW(net::Server{net::NetConfig{}}, std::invalid_argument);
+}
+
+TEST_F(NetServerTest, CountsTheReplyOfAPeerThatResetWithWorkInFlight) {
+  // The handler holds "held" until the peer's reset has closed its
+  // connection, so the finished reply has no socket left to go to.
+  std::atomic<bool> release{false};
+  net::NetConfig config = fast_config();
+  config.handler = [this, &release](const service::Request& request,
+                                    std::uint64_t) {
+    while (request.id == "held" && !release.load() &&
+           core::run_check() == core::StatusCode::kOk)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return net::response_frame(service_.handle(request));
+  };
+  start(std::move(config));
+  {
+    Client victim(path());
+    ASSERT_TRUE(victim.connected());
+    // Leave a reply unread: closing over unread data resets the peer.
+    ASSERT_TRUE(victim.send_frame(request_payload("unread")));
+    pollfd pfd{victim.fd(), POLLIN, 0};
+    ASSERT_EQ(::poll(&pfd, 1, 10000), 1);
+    ASSERT_TRUE(victim.send_frame(request_payload("held")));
+    Client watcher(path());
+    report::Json doc;
+    do {  // until "held" is in flight on the pool
+      ASSERT_TRUE(watcher.send_frame("{\"kind\":\"ping\"}"));
+      ASSERT_TRUE(watcher.recv_json(doc));
+    } while (doc.find("inflight")->as_integer() == 0);
+  }
+  Client watcher(path());
+  report::Json doc;
+  do {  // until the server has closed the reset connection
+    ASSERT_TRUE(watcher.send_frame("{\"kind\":\"ping\"}"));
+    ASSERT_TRUE(watcher.recv_json(doc));
+  } while (doc.find("connections")->as_integer() > 1);
+  release = true;
+  const net::NetStats stats = stop();
+  EXPECT_EQ(stats.resets, 1u);
+  EXPECT_EQ(stats.replies_sent, 1u);
+  EXPECT_EQ(stats.replies_dropped, 1u);
+}
+
 TEST_F(NetServerTest, DrainFinishesInflightWorkBeforeClosing) {
   start();
   Client client(path());
@@ -572,10 +671,10 @@ TEST_F(NetServerTest, DrainFinishesInflightWorkBeforeClosing) {
   // then drain: the reply must still arrive before the connection closes.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(8);
-  while (server().service().metrics().received == 0 &&
+  while (service_.metrics().received == 0 &&
          std::chrono::steady_clock::now() < deadline)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  ASSERT_GE(server().service().metrics().received, 1u);
+  ASSERT_GE(service_.metrics().received, 1u);
   server().request_drain();
   report::Json doc;
   ASSERT_TRUE(client.recv_json(doc));
@@ -698,7 +797,7 @@ TEST_F(NetDeterminismTest, ReplyBytesIdenticalAtOneAndEightThreads) {
 
 // ---- process isolation: the supervised worker-pool back end --------------
 
-/// NetServerTest with the frame_handler/health_source hooks wired to a real
+/// NetServerTest with the handler and health_source hooks wired to a real
 /// supervise::WorkerPool — the exact dsmt_serve --isolate topology, with
 /// crash chaos armed in the forked children only.
 class NetIsolateTest : public NetServerTest {
@@ -719,11 +818,13 @@ class NetIsolateTest : public NetServerTest {
     ASSERT_GT(pool_->live_workers(), 0u);
 
     net::NetConfig config = fast_config();
-    config.frame_handler = [p = pool_.get()](const service::Request& request,
-                                             std::uint64_t seq) {
+    config.handler = [p = pool_.get()](const service::Request& request,
+                                       std::uint64_t seq) {
       return p->execute(request, seq).frame;
     };
-    config.health_source = [p = pool_.get()] { return p->supervise_json(); };
+    config.health_source = [p = pool_.get()] {
+      return report::Json::object().set("supervise", p->supervise_json());
+    };
     start(std::move(config));
   }
 
