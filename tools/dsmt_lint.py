@@ -104,6 +104,17 @@ Rules (library code under src/ only — tests/bench/examples are exempt):
                   (`forked(`, `task_kill(`), and nullary unqualified
                   declarations do not fire. tests/, tools/, and examples/
                   are exempt, like all rules.
+  R15 reply-builder  `response_to_json(` may be called only in
+                  src/service/ (the codec's home) and in net/wire.cpp, the
+                  home of net::response_frame, the one encoder of a reply.
+                  Everywhere else in src/ a reply is a service::Response
+                  (failure_response builds the failures) framed by
+                  net::response_frame, so one Response is the same bytes on
+                  every path and no front end hand-builds a reply. Member
+                  calls (`x.response_to_json(`) and longer identifiers
+                  (`my_response_to_json(`, `response_to_json_v2(`) do not
+                  fire. tests/, tools/, and examples/ are exempt, like all
+                  rules.
 
 Exit status 0 when clean, 1 when any violation is found.
 
@@ -326,6 +337,14 @@ FNV_LITERAL_RE = re.compile(
 CACHE_PREFIX = "cache/"
 CACHE_IO_EXEMPT_FILES = ("core/atomic_file.h", "core/atomic_file.cpp")
 CACHE_IO_RE = re.compile(r"\bAppendLog\b|\btruncate_file_to\b|\"DSC1\"")
+
+
+# The reply codec's callers (R15): src/service/ owns response_to_json, and
+# net/wire.cpp holds the one encoder that frames a Response. Any other
+# caller would be a second encoder, free to drift from the first.
+REPLY_CODEC_PREFIX = "service/"
+REPLY_ENCODER_HOME = "net/wire.cpp"
+RESPONSE_TO_JSON_RE = re.compile(r"(?<![\w.>])response_to_json\s*\(")
 
 
 # A doc line counts as carrying a unit tag when it contains [...] with a
@@ -584,6 +603,19 @@ def lint_file(path: pathlib.Path, rel: str, errors: list):
                               f"through cache/segment.h + core/atomic_file "
                               f"so recovery and checksum policy are written "
                               f"once")
+
+    # R15: one reply encoder. response_to_json is called only by the
+    # service (its home) and by net::response_frame in net/wire.cpp.
+    if not rel.startswith(REPLY_CODEC_PREFIX) and rel != REPLY_ENCODER_HOME:
+        for i, raw in enumerate(lines):
+            line = strip_comments(raw)
+            if RESPONSE_TO_JSON_RE.search(line):
+                errors.append(f"{rel}:{i + 1}: [reply-builder] "
+                              f"response_to_json called outside src/service/ "
+                              f"and net/wire.cpp — frame a reply with "
+                              f"net::response_frame (and build a failure "
+                              f"with service::failure_response) so every "
+                              f"path sends the same bytes")
 
     # R1: raw double params in exported header decls need a [unit] doc tag.
     # core/units.h is the unit vocabulary itself: its factory helpers and
@@ -966,6 +998,59 @@ class AppendLogger {                            // longer identifier
 }  // namespace dsmt::demo
 """
 
+SELF_TEST_BAD_REPLY = """\
+// Hand-built reply encoders in the three shapes R15 must catch when the
+// file sits outside src/service/ and net/wire.cpp.
+#pragma once
+
+#include <string>
+
+namespace dsmt::demo {
+
+inline std::string error_frame(const service::Response& resp) {
+  return net::encode_frame(service::response_to_json(resp).dump(-1));
+}
+
+inline std::string spaced(const service::Response& resp) {
+  return dsmt::service::response_to_json (resp).dump(2);
+}
+
+using service::response_to_json;
+inline std::string bare(const service::Response& resp) {
+  return response_to_json(resp).dump(-1);
+}
+
+}  // namespace dsmt::demo
+"""
+
+SELF_TEST_GOOD_REPLY = """\
+// Look-alikes R15 must stay quiet on: the sanctioned encoder, the request
+// codec, a comment, member calls, and longer identifiers.
+#pragma once
+
+#include <string>
+
+namespace dsmt::demo {
+
+// response_to_json(resp) is framed by net::response_frame only.
+inline std::string sanctioned(const service::Response& resp) {
+  return net::response_frame(resp);
+}
+
+inline std::string request_side(const service::Request& req) {
+  return service::request_to_json(req).dump(-1);
+}
+
+inline std::string look_alikes(const Codec& codec, const Codec* other,
+                               const service::Response& resp) {
+  return codec.response_to_json(resp).dump(-1) +
+         other->response_to_json(resp).dump(-1) +
+         my_response_to_json(resp) + response_to_json_v2(resp);
+}
+
+}  // namespace dsmt::demo
+"""
+
 SELF_TEST_WRAPPER_HOME = """\
 // Minimal slice of core/thread_annotations.h: the one sanctioned home of
 // the raw std lock types, which it wraps in annotated capabilities.
@@ -1276,7 +1361,46 @@ def self_test() -> int:
                 print("  " + e)
             return 1
 
-    print("dsmt_lint: self-test passed (rules R1-R14)")
+        # R15 fires on every hand-built reply encoder outside the codec's
+        # home and the encoder's file ...
+        bad_reply = root / "src" / "demo" / "bad_reply.h"
+        bad_reply.write_text(SELF_TEST_BAD_REPLY)
+        good_reply = root / "src" / "demo" / "good_reply.h"
+        good_reply.write_text(SELF_TEST_GOOD_REPLY)
+        errors = []
+        lint_file(bad_reply, "net/server.cpp", errors)
+        reply_errs = [e for e in errors if "[reply-builder]" in e]
+        if len(reply_errs) != 3:  # qualified, spaced, bare
+            print(f"self-test FAILED: bad_reply.h raised {len(reply_errs)} "
+                  f"reply-builder violations, expected 3:")
+            for e in errors:
+                print("  " + e)
+            return 1
+
+        # ... stays quiet on the sanctioned encoder and the look-alikes ...
+        errors = []
+        lint_file(good_reply, "supervise/good_reply.h", errors)
+        if any("[reply-builder]" in e for e in errors):
+            print("self-test FAILED: good_reply.h should be R15-clean:")
+            for e in errors:
+                print("  " + e)
+            return 1
+
+        # ... and exempts src/service/ and the encoder's own file, but not
+        # the encoder's header.
+        for home in ("service/request.cpp", "net/wire.cpp"):
+            errors = []
+            lint_file(bad_reply, home, errors)
+            if any("[reply-builder]" in e for e in errors):
+                print(f"self-test FAILED: R15 fired inside {home}")
+                return 1
+        errors = []
+        lint_file(bad_reply, "net/wire.h", errors)
+        if len([e for e in errors if "[reply-builder]" in e]) != 3:
+            print("self-test FAILED: R15 did not fire in net/wire.h")
+            return 1
+
+    print("dsmt_lint: self-test passed (rules R1-R15)")
     return 0
 
 
