@@ -219,11 +219,7 @@ Response failure_response(std::string id, core::StatusCode status,
 }
 
 Response failure_response(const Request& request, const SolveError& error) {
-  Response resp;
-  resp.id = request.id;
-  resp.kind = request.kind;
-  resp.status = error.status();
-  resp.error = error.what();
+  Response resp = failure_response(request, error.status(), "", error.what());
   resp.diag = error.diag();
   return resp;
 }

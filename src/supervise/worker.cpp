@@ -2,7 +2,6 @@
 
 #include <sys/resource.h>
 
-#include <algorithm>
 #include <new>
 #include <string>
 #include <vector>
@@ -109,7 +108,7 @@ int run_worker(int channel_fd, service::ServerConfig service_config,
             // Still over — only a pathological id can do this. Nothing
             // meaningful fits, so the status must say failure rather than
             // a success with every result field dropped.
-            request.id.resize(std::min<std::size_t>(request.id.size(), 128));
+            request.id = request.id.substr(0, 128);
             reply = encode_response_message(
                 seq, service::failure_response(
                          request, core::StatusCode::kInvalidInput, kWhere,

@@ -23,6 +23,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <new>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -615,6 +616,41 @@ TEST_F(NetServerTest, PingAppendsTheHealthSourceMembersAfterItsOwn) {
             "{\"id\":\"hook\",\"kind\":\"ping\",\"status\":\"ok\",\"draini"
             "ng\":false,\"connections\":1,\"inflight\":0,\"degradation\":{\"a"
             "nalytic_bound\":true},\"cache\":{},\"supervise\":2}");
+}
+
+TEST_F(NetServerTest, AnswersAThrowingHandlerWithATypedReplyOfItsKind) {
+  net::NetConfig config = fast_config();
+  config.handler = [](const service::Request& request,
+                      std::uint64_t) -> std::string {
+    if (request.id == "oom") throw std::bad_alloc();
+    if (request.id == "boom") throw std::runtime_error("boom");
+    throw 7;
+  };
+  start(std::move(config));
+  Client client(path());
+  ASSERT_TRUE(client.connected());
+  service::Request cell;
+  cell.kind = service::RequestKind::kTableCell;
+  cell.technology = "NTRS-250nm-Cu";
+  const struct {
+    const char* id;
+    const char* status;
+    const char* error;
+  } cases[] = {
+      {"oom", "rejected-overload", "allocation failure: request shed"},
+      {"boom", "invalid-input", "internal error: boom"},
+      {"odd", "invalid-input", "internal error: unknown exception"},
+  };
+  for (const auto& c : cases) {
+    cell.id = c.id;
+    ASSERT_TRUE(client.send_frame(service::request_to_json(cell).dump(-1)));
+    report::Json doc;
+    ASSERT_TRUE(client.recv_json(doc)) << c.id;
+    EXPECT_EQ(id_of(doc), c.id);
+    EXPECT_EQ(status_of(doc), c.status) << c.id;
+    EXPECT_EQ(doc.find("error")->as_string(), c.error) << c.id;
+    EXPECT_EQ(doc.find("kind")->as_string(), "table-cell") << c.id;
+  }
 }
 
 TEST(NetServer, RefusesAConfigWithoutAHandler) {

@@ -1007,7 +1007,7 @@ SELF_TEST_BAD_REPLY = """\
 
 namespace dsmt::demo {
 
-inline std::string error_frame(const service::Response& resp) {
+inline std::string hand_built(const service::Response& resp) {
   return net::encode_frame(service::response_to_json(resp).dump(-1));
 }
 
