@@ -38,7 +38,7 @@ struct sigaction g_old_int;
 
 /// Diag kernel of every reply the front end builds itself: each rejection
 /// is a well-formed typed frame, so no failure mode is a silent drop.
-const std::string kWhere = "net/server";
+constexpr const char* kWhere = "net/server";
 
 /// The request id of a parsed-but-possibly-malformed payload, best effort.
 std::string probe_id(const report::Json& doc) {

@@ -75,7 +75,7 @@ std::size_t probe_payload_cap(std::size_t want_payload) {
 
 /// Diag kernel of the parent's own replies to requests a worker did not
 /// answer.
-const std::string kWhere = "supervise/pool";
+constexpr const char* kWhere = "supervise/pool";
 
 /// Children must never inherit a solve cache: its AppendLog fd would cross
 /// fork() and every child would append to one segment file.

@@ -25,7 +25,7 @@ bool apply_rlimit(int resource, std::uint64_t value) {
 }
 
 /// Diag kernel of every reply the worker builds itself.
-const std::string kWhere = "supervise/worker";
+constexpr const char* kWhere = "supervise/worker";
 
 }  // namespace
 
