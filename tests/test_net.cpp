@@ -10,14 +10,13 @@
 // carries a receive timeout so a lost reply fails the test instead of
 // wedging it.
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <signal.h>
 #include <string.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
-
-#include <poll.h>
 
 #include <atomic>
 #include <chrono>
