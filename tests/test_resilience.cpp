@@ -81,15 +81,6 @@ std::string read_file(const std::string& path) {
   return buf.str();
 }
 
-std::size_t count_slot_lines(const std::string& path) {
-  std::ifstream is(path);
-  std::string line;
-  std::size_t n = 0;
-  while (std::getline(is, line))
-    if (line.rfind("slot ", 0) == 0) ++n;
-  return n;
-}
-
 void compare_tables(const std::vector<selfconsistent::TableCell>& ref,
                     const std::vector<selfconsistent::TableCell>& got,
                     const std::string& tag) {
@@ -309,9 +300,27 @@ TEST(CheckpointFile, CorruptFileThrowsInsteadOfSilentlyRestarting) {
 }
 
 // ---------------------------------------------------------------------------
-// Kill-then-resume chaos: cancel at randomized poll counts, resume, and
-// require bitwise equality with the uninterrupted reference at 1, 2, and 8
-// threads. Composes with the PR-2 fault injector below.
+// Kill-then-rerun chaos: cancel at randomized poll counts and require the
+// exact interruption status, then rerun with no context and require bitwise
+// equality with the uninterrupted reference at 1, 2, and 8 threads. An
+// interrupted sweep leaves nothing behind, so the rerun is a fresh run of the
+// same deterministic grid. Composes with the fault injector below.
+
+/// Runs `job` under a context whose token trips after `fuse` kernel polls,
+/// and expects the run to end in SolveError with exactly kCancelled.
+template <typename Job>
+void expect_cancelled_after(std::uint64_t fuse, const Job& job,
+                            const std::string& tag) {
+  RunContext ctx;
+  ctx.cancel().cancel_after_checks(fuse);
+  ScopedRunContext scope(ctx);
+  try {
+    (void)job();
+    ADD_FAILURE() << tag << ": expected SolveError from the cancelled run";
+  } catch (const SolveError& e) {
+    EXPECT_EQ(e.status(), StatusCode::kCancelled) << tag;
+  }
+}
 
 TEST(CheckpointResume, TableSweepKillThenResumeBitIdentical) {
   parallel::set_thread_count(1);
@@ -326,46 +335,18 @@ TEST(CheckpointResume, TableSweepKillThenResumeBitIdentical) {
   const std::uint64_t total_polls = probe.beats();
   ASSERT_GT(total_polls, 10u);
 
-  int case_id = 0;
+  const auto run_table = [] {
+    return selfconsistent::generate_design_rule_table(table_spec());
+  };
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{8}}) {
     for (const std::uint64_t fuse :
          {std::uint64_t{3}, total_polls / 3, (2 * total_polls) / 3}) {
       const std::string tag = "threads=" + std::to_string(threads) +
                               " fuse=" + std::to_string(fuse);
-      const std::string path =
-          temp_path("ckpt_table_" + std::to_string(case_id++) + ".ckpt");
-      std::remove(path.c_str());
       parallel::set_thread_count(threads);
-
-      {  // Chaos run: cancelled mid-flight after `fuse` kernel polls.
-        RunContext ctx;
-        ctx.set_checkpoint({path, 1});
-        ctx.cancel().cancel_after_checks(fuse);
-        ScopedRunContext scope(ctx);
-        EXPECT_THROW((void)selfconsistent::generate_design_rule_table(
-                         table_spec()),
-                     SolveError)
-            << tag;
-      }
-      const std::size_t persisted = count_slot_lines(path);
-
-      {  // Resume: skip persisted slots, recompute the rest.
-        RunContext ctx;
-        ctx.set_checkpoint({path, 1});
-        ScopedRunContext scope(ctx);
-        const auto resumed =
-            selfconsistent::generate_design_rule_table(table_spec());
-        compare_tables(reference, resumed, tag);
-        // The run's checkpoint log agrees with what the file held.
-        const auto log = ctx.checkpoint_log();
-        ASSERT_EQ(log.size(), 1u) << tag;
-        EXPECT_EQ(log[0].job, "design_rule_table") << tag;
-        EXPECT_EQ(log[0].total_slots, reference.size()) << tag;
-        EXPECT_EQ(log[0].completed, reference.size()) << tag;
-        EXPECT_EQ(log[0].resumed, persisted) << tag;
-      }
-      std::remove(path.c_str());
+      expect_cancelled_after(fuse, run_table, tag);
+      compare_tables(reference, run_table(), tag);
     }
   }
   parallel::set_thread_count(0);
@@ -389,122 +370,84 @@ TEST(CheckpointResume, MonteCarloKillThenResumeBitIdentical) {
   const std::uint64_t total_polls = probe.beats();
   ASSERT_GT(total_polls, 10u);
 
-  int case_id = 0;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
     for (const std::uint64_t fuse : {total_polls / 5, total_polls / 2}) {
       const std::string tag = "threads=" + std::to_string(threads) +
                               " fuse=" + std::to_string(fuse);
-      const std::string path =
-          temp_path("ckpt_mc_" + std::to_string(case_id++) + ".ckpt");
-      std::remove(path.c_str());
       parallel::set_thread_count(threads);
-      {
-        RunContext ctx;
-        ctx.set_checkpoint({path, 1});
-        ctx.cancel().cancel_after_checks(fuse);
-        ScopedRunContext scope(ctx);
-        EXPECT_THROW((void)run_mc(), SolveError) << tag;
-      }
-      {
-        RunContext ctx;
-        ctx.set_checkpoint({path, 1});
-        ScopedRunContext scope(ctx);
-        const auto resumed = run_mc();
-        ASSERT_EQ(reference.samples.size(), resumed.samples.size()) << tag;
-        for (std::size_t s = 0; s < reference.samples.size(); ++s)
-          expect_bits_equal(reference.samples[s], resumed.samples[s],
-                            tag + " sample " + std::to_string(s));
-        expect_bits_equal(reference.nominal, resumed.nominal, tag + " nominal");
-        expect_bits_equal(reference.mean, resumed.mean, tag + " mean");
-        expect_bits_equal(reference.stddev, resumed.stddev, tag + " stddev");
-        expect_bits_equal(reference.p01, resumed.p01, tag + " p01");
-        expect_bits_equal(reference.p99, resumed.p99, tag + " p99");
-      }
-      std::remove(path.c_str());
+      expect_cancelled_after(fuse, run_mc, tag);
+      const auto rerun = run_mc();
+      ASSERT_EQ(reference.samples.size(), rerun.samples.size()) << tag;
+      for (std::size_t s = 0; s < reference.samples.size(); ++s)
+        expect_bits_equal(reference.samples[s], rerun.samples[s],
+                          tag + " sample " + std::to_string(s));
+      expect_bits_equal(reference.nominal, rerun.nominal, tag + " nominal");
+      expect_bits_equal(reference.mean, rerun.mean, tag + " mean");
+      expect_bits_equal(reference.stddev, rerun.stddev, tag + " stddev");
+      expect_bits_equal(reference.p01, rerun.p01, tag + " p01");
+      expect_bits_equal(reference.p99, rerun.p99, tag + " p99");
     }
   }
   parallel::set_thread_count(0);
 }
 
+// The j0 family nests one duty-cycle sweep per row inside parallel_map; a
+// cancellation anywhere in the grid surfaces once, on the caller.
 TEST(CheckpointResume, NestedJ0SweepClaimsAtOuterGranularity) {
   const std::vector<double> j0s = {MA_per_cm2(0.6), MA_per_cm2(1.2),
                                    MA_per_cm2(1.8)};
   const auto duties = selfconsistent::log_spaced(1e-3, 1.0, 7);
+  const auto run_j0 = [&] {
+    return selfconsistent::sweep_j0(fig2_problem(), j0s, duties);
+  };
   parallel::set_thread_count(1);
   RunContext probe;
   std::vector<std::vector<selfconsistent::DutyCyclePoint>> reference;
   {
     ScopedRunContext scope(probe);
-    reference = selfconsistent::sweep_j0(fig2_problem(), j0s, duties);
+    reference = run_j0();
   }
   ASSERT_GT(probe.beats(), 10u);
 
-  const std::string path = temp_path("ckpt_j0.ckpt");
-  std::remove(path.c_str());
   parallel::set_thread_count(2);
-  {
-    RunContext ctx;
-    ctx.set_checkpoint({path, 1});
-    ctx.cancel().cancel_after_checks(probe.beats() / 2);
-    ScopedRunContext scope(ctx);
-    EXPECT_THROW((void)selfconsistent::sweep_j0(fig2_problem(), j0s, duties),
-                 SolveError);
-  }
-  {
-    RunContext ctx;
-    ctx.set_checkpoint({path, 1});
-    ScopedRunContext scope(ctx);
-    const auto resumed = selfconsistent::sweep_j0(fig2_problem(), j0s, duties);
-    ASSERT_EQ(reference.size(), resumed.size());
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-      ASSERT_EQ(reference[i].size(), resumed[i].size());
-      for (std::size_t k = 0; k < reference[i].size(); ++k) {
-        const std::string tag =
-            "point [" + std::to_string(i) + "][" + std::to_string(k) + "]";
-        expect_bits_equal(reference[i][k].sc.j_peak, resumed[i][k].sc.j_peak,
-                          tag + " j_peak");
-        expect_bits_equal(reference[i][k].jpeak_thermal_only,
-                          resumed[i][k].jpeak_thermal_only, tag + " jth");
-      }
+  expect_cancelled_after(probe.beats() / 2, run_j0, "j0 sweep");
+  const auto rerun = run_j0();
+  ASSERT_EQ(reference.size(), rerun.size());
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    ASSERT_EQ(reference[i].size(), rerun[i].size());
+    for (std::size_t k = 0; k < reference[i].size(); ++k) {
+      const std::string tag =
+          "point [" + std::to_string(i) + "][" + std::to_string(k) + "]";
+      expect_bits_equal(reference[i][k].sc.j_peak, rerun[i][k].sc.j_peak,
+                        tag + " j_peak");
+      expect_bits_equal(reference[i][k].jpeak_thermal_only,
+                        rerun[i][k].jpeak_thermal_only, tag + " jth");
     }
-    // The outer driver claimed the spec: one checkpoint, at j0 granularity,
-    // proving the nested duty sweeps could not double-apply the same file.
-    const auto log = ctx.checkpoint_log();
-    ASSERT_EQ(log.size(), 1u);
-    EXPECT_EQ(log[0].job, "j0_sweep");
-    EXPECT_EQ(log[0].total_slots, j0s.size());
   }
-  std::remove(path.c_str());
   parallel::set_thread_count(0);
 }
 
 TEST(CheckpointResume, DeadlineKillThenResumeBitIdentical) {
   parallel::set_thread_count(1);
   const auto reference = selfconsistent::generate_design_rule_table(table_spec());
-  const std::string path = temp_path("ckpt_deadline.ckpt");
-  std::remove(path.c_str());
   parallel::set_thread_count(2);
   {
     RunContext ctx =
         RunContext::with_deadline_after(std::chrono::milliseconds(2));
-    ctx.set_checkpoint({path, 1});
     ScopedRunContext scope(ctx);
     try {
-      (void)selfconsistent::generate_design_rule_table(table_spec());
-      // A fast machine may legitimately finish inside the budget.
+      // A fast machine may legitimately finish inside the budget; then the
+      // bounded run itself must equal the reference.
+      compare_tables(reference,
+                     selfconsistent::generate_design_rule_table(table_spec()),
+                     "deadline run");
     } catch (const SolveError& e) {
       EXPECT_EQ(e.status(), StatusCode::kDeadlineExceeded);
     }
   }
-  {
-    RunContext ctx;  // no deadline this time
-    ctx.set_checkpoint({path, 1});
-    ScopedRunContext scope(ctx);
-    compare_tables(reference,
-                   selfconsistent::generate_design_rule_table(table_spec()),
-                   "deadline resume");
-  }
-  std::remove(path.c_str());
+  compare_tables(reference,
+                 selfconsistent::generate_design_rule_table(table_spec()),
+                 "deadline rerun");
   parallel::set_thread_count(0);
 }
 
@@ -540,8 +483,8 @@ TEST(CheckpointResume, FullResumeRunsNoSolver) {
   parallel::set_thread_count(0);
 }
 
-// Chaos composition: the PR-2 fault injector perturbs every Brent residual
-// (deterministically) while cancellation kills the run mid-flight; resume
+// Chaos composition: the fault injector perturbs every Brent residual
+// (deterministically) while cancellation kills the run mid-flight; the rerun
 // must still match the uninterrupted run under the same fault plan.
 TEST(CheckpointResume, ComposesWithFaultInjector) {
   const numeric::fault::FaultPlan plan{FaultKind::kPerturbResidual,
@@ -555,31 +498,19 @@ TEST(CheckpointResume, ComposesWithFaultInjector) {
     reference = selfconsistent::generate_design_rule_table(table_spec());
   }
   ASSERT_GT(probe.beats(), 10u);
-  const std::string path = temp_path("ckpt_chaos.ckpt");
+  const auto run_table = [] {
+    return selfconsistent::generate_design_rule_table(table_spec());
+  };
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-    std::remove(path.c_str());
+    const std::string tag = "chaos threads=" + std::to_string(threads);
     parallel::set_thread_count(threads);
     {
-      RunContext ctx;
-      ctx.set_checkpoint({path, 1});
-      ctx.cancel().cancel_after_checks(probe.beats() / 3);
-      ScopedRunContext scope(ctx);
       ScopedFault fault(plan);
-      EXPECT_THROW(
-          (void)selfconsistent::generate_design_rule_table(table_spec()),
-          SolveError);
+      expect_cancelled_after(probe.beats() / 3, run_table, tag);
     }
-    {
-      RunContext ctx;
-      ctx.set_checkpoint({path, 1});
-      ScopedRunContext scope(ctx);
-      ScopedFault fault(plan);
-      compare_tables(reference,
-                     selfconsistent::generate_design_rule_table(table_spec()),
-                     "chaos threads=" + std::to_string(threads));
-    }
+    ScopedFault fault(plan);
+    compare_tables(reference, run_table(), tag);
   }
-  std::remove(path.c_str());
   parallel::set_thread_count(0);
 }
 
