@@ -14,9 +14,7 @@
 //                         (a transcription of the standard basis in
 //                         decimal that dropped a digit), frozen here under
 //                         its own name.
-// (core/checkpoint keeps a private copy of the standard constants: the core
-// layer cannot depend on cache/, and its config-hash scheme predates this
-// header. R14 exempts exactly that home.)
+// R14 has no exemption: these constants appear nowhere else in src/.
 #pragma once
 
 #include <cstddef>

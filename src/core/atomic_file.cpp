@@ -13,8 +13,8 @@ namespace dsmt::core {
 namespace {
 
 /// Unique-within-process temp name next to the target, so rename(2) stays on
-/// one filesystem and concurrent writers (pool workers flushing different
-/// checkpoints) cannot collide.
+/// one filesystem and concurrent writers (threads emitting different files)
+/// cannot collide.
 std::string temp_name_for(const std::string& path) {
   static std::atomic<unsigned> seq{0};
   return path + ".tmp." + std::to_string(::getpid()) + "." +
@@ -61,11 +61,11 @@ void atomic_write_file(const std::string& path, const std::string& content) {
   }
   // Make the rename itself durable: without a directory fsync the new name
   // lives only in the in-memory dentry cache, and a power cut after "success"
-  // can roll a checkpoint back to the previous name — exactly the window a
-  // resumed run trusts to be closed. Failures here are real failures (the
-  // caller was promised durability), except EINVAL/ENOTSUP from filesystems
-  // that cannot fsync directories, where the content fsync above is the best
-  // the platform offers.
+  // can roll the file back to its previous content — exactly the window a
+  // reader of a finished emit trusts to be closed. Failures here are real
+  // failures (the caller was promised durability), except EINVAL/ENOTSUP
+  // from filesystems that cannot fsync directories, where the content fsync
+  // above is the best the platform offers.
   const std::size_t slash = path.find_last_of('/');
   const std::string dir = slash == std::string::npos ? std::string(".")
                                                      : path.substr(0, slash);

@@ -35,8 +35,7 @@ bool CancelToken::observe() const {
 }
 
 RunContext::RunContext()
-    : beats_(std::make_shared<std::atomic<std::uint64_t>>(0)),
-      log_(std::make_shared<CheckpointLog>()) {}
+    : beats_(std::make_shared<std::atomic<std::uint64_t>>(0)) {}
 
 RunContext RunContext::with_deadline_after(std::chrono::nanoseconds budget) {
   RunContext ctx;
@@ -56,28 +55,6 @@ double RunContext::seconds_remaining() const {
 
 std::uint64_t RunContext::beats() const {
   return beats_->load(std::memory_order_relaxed);
-}
-
-void RunContext::set_checkpoint(CheckpointSpec spec) {
-  checkpoint_ = std::move(spec);
-}
-
-void RunContext::clear_checkpoint() { checkpoint_.reset(); }
-
-void RunContext::note_checkpoint(const CheckpointStats& stats) const {
-  MutexLock lock(log_->mu);
-  for (auto& entry : log_->entries) {
-    if (entry.job == stats.job) {
-      entry = stats;
-      return;
-    }
-  }
-  log_->entries.push_back(stats);
-}
-
-std::vector<CheckpointStats> RunContext::checkpoint_log() const {
-  MutexLock lock(log_->mu);
-  return log_->entries;
 }
 
 StatusCode RunContext::poll() const {
@@ -123,15 +100,6 @@ void throw_if_run_interrupted(const char* kernel) {
   throw SolveError(std::string(kernel) + ": run interrupted (" +
                        status_name(rc) + ")",
                    diag);
-}
-
-ClaimedCheckpoint::ClaimedCheckpoint() {
-  const RunContext* ambient = g_current;
-  if (ambient == nullptr || !ambient->checkpoint()) return;
-  spec_ = *ambient->checkpoint();
-  rescoped_ = *ambient;
-  rescoped_->clear_checkpoint();
-  scope_.emplace(*rescoped_);
 }
 
 }  // namespace dsmt::core

@@ -10,29 +10,40 @@
 // down to their std counterparts — release outputs are unaffected.
 //
 // Policy (enforced by dsmt_lint rules R9/R10):
-//   * Annotated subsystems (src/parallel/, src/service/, core/signoff,
-//     core/run_context, core/checkpoint, numeric/fault_injection) must use
-//     dsmt::Mutex / dsmt::MutexLock / dsmt::CondVar from this header — raw
-//     std::mutex / std::lock_guard / std::unique_lock are fenced out (R9),
-//     because the raw types carry no capability and silently opt a data
-//     structure out of the analysis.
+//   * Annotated subsystems (src/parallel/, src/service/, src/net/,
+//     src/supervise/, src/cache/, core/signoff, core/run_context,
+//     numeric/fault_injection) must use dsmt::Mutex / dsmt::MutexLock /
+//     dsmt::CondVar from this header — raw std::mutex / std::lock_guard /
+//     std::unique_lock are fenced out (R9), because the raw types carry no
+//     capability and silently opt a data structure out of the analysis.
 //   * Every mutable global or primitive/container member in those
 //     subsystems must be std::atomic, DSMT_GUARDED_BY-annotated, const,
 //     thread_local, or carry an explicit `R10-ok:` justification (R10).
 //
 // Lock hierarchy (documented here, asserted by the analysis where the
-// acquisition order is visible to it; see DESIGN.md "Lock hierarchy"):
+// acquisition order is visible to it; see DESIGN.md "Lock hierarchy"). The
+// library has twelve mutexes:
 //   level 0 (leaf, never held while calling out):
-//     parallel::Pool::mu_, parallel::detail::FirstError::mu,
-//     parallel::detail::BlockLatch::mu_, core::RunContext::CheckpointLog::mu,
-//     numeric::fault g_plan_mu
-//   level 1 (may hold while doing I/O or invoking a registered callback,
-//     must not acquire another level-1 lock):
-//     core::SweepCheckpoint::mu_, core::signoff ServiceSourceSlot::mu,
-//     parallel g_config_mu
-// No path in the library acquires two of these locks at once except
-// SweepCheckpoint::mu_ -> CheckpointLog::mu (level 1 -> level 0, via
-// publish_locked -> RunContext::note_checkpoint), which respects the order.
+//     parallel::Pool::mu_, parallel::detail::FirstError::mu_,
+//     parallel::detail::BlockLatch::mu_, numeric::fault g_plan_mu,
+//     net socket-shim g_plan_mu, net::Server::Shared::mu,
+//     cache::SolveCache::Shard::mu
+//   level 1 (may be held across I/O or a registered callback; the rule is
+//     that it must not acquire another level-1 lock):
+//     parallel g_config_mu, core::signoff ServiceSourceSlot::mu,
+//     cache::SolveCache::segment_mu_, supervise::WorkerPool::mu_,
+//     supervise::ForkBroker::mu_
+// Three paths hold two locks at once:
+//   * g_config_mu -> Pool::mu_ (level 1 -> level 0): pool() and
+//     set_thread_count delete the old pool, whose destructor sets stop_.
+//   * ServiceSourceSlot::mu -> WorkerPool::mu_ (level 1 -> level 1): a pool
+//     that publishes renders supervise_json() under the slot lock.
+//   * WorkerPool::mu_ -> ForkBroker::mu_ (level 1 -> level 1): spawn_slot,
+//     from the constructor and from acquire()'s refork, holds the pool lock
+//     across the broker's fork round-trip.
+// The last two break the level-1 rule. They form one chain (slot -> pool ->
+// broker) that no path takes in reverse, so there is no cycle, but every
+// WorkerPool::execute() waits behind a refork in progress.
 #pragma once
 
 #include <chrono>

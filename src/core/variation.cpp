@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 
-#include "core/checkpoint.h"
 #include "numeric/stats.h"
 #include "parallel/parallel_for.h"
 #include "selfconsistent/batch.h"
@@ -80,94 +78,46 @@ VariationResult monte_carlo_jpeak(const tech::Technology& technology,
   if (n_samples < 2)
     throw std::invalid_argument("monte_carlo_jpeak: n_samples < 2");
 
-  // One checkpoint slot per sample; the nominal solve rides in a reserved
-  // extra slot so a fully-restored resume runs no solver at all.
-  ClaimedCheckpoint claim;
-  std::unique_ptr<SweepCheckpoint> cp;
-  const std::size_t nominal_slot = static_cast<std::size_t>(n_samples);
-  if (claim.spec() != nullptr) {
-    std::uint64_t h = hash_mix(kConfigHashSeed, technology.name);
-    h = hash_mix(h, static_cast<std::uint64_t>(level));
-    h = hash_mix(h, gap_fill.name);
-    h = hash_mix(h, gap_fill.k_thermal.value());
-    h = hash_mix(h, phi);
-    h = hash_mix(h, duty_cycle);
-    h = hash_mix(h, j0);
-    h = hash_mix(h, spec.width);
-    h = hash_mix(h, spec.thickness);
-    h = hash_mix(h, spec.stack);
-    h = hash_mix(h, spec.k_thermal);
-    h = hash_mix(h, static_cast<std::uint64_t>(spec.seed));
-    h = hash_mix(h, static_cast<std::uint64_t>(n_samples));
-    cp = std::make_unique<SweepCheckpoint>(*claim.spec(), "monte_carlo_jpeak",
-                                           h, nominal_slot + 1);
-  }
-
   VariationResult out;
-  if (cp != nullptr && cp->has(nominal_slot)) {
-    out.nominal = cp->values(nominal_slot)[0];
-  } else {
-    out.nominal =
-        selfconsistent::solve_one(selfconsistent::make_level_problem(
-                                      technology, level, gap_fill, phi,
-                                      duty_cycle, A_per_m2(j0)))
-            .j_peak;
-    if (cp != nullptr) cp->store(nominal_slot, {out.nominal});
-  }
+  out.nominal =
+      selfconsistent::solve_one(selfconsistent::make_level_problem(
+                                    technology, level, gap_fill, phi,
+                                    duty_cycle, A_per_m2(j0)))
+          .j_peak;
 
   // Sampling phase: every sample draws from its own counter-seeded stream
   // and writes its own slot, so the parallel result is bit-identical to the
-  // serial one for any thread count. Restore checkpointed samples first,
-  // then build the remaining perturbed problems in parallel (the per-sample
-  // draw order fw, ft, fb, fk is unchanged) and solve them as ONE batch.
-  out.samples.assign(static_cast<std::size_t>(n_samples), 0.0);
-  std::vector<std::size_t> todo;
-  todo.reserve(out.samples.size());
-  for (std::size_t s = 0; s < out.samples.size(); ++s) {
-    if (cp != nullptr && cp->has(s)) {
-      out.samples[s] = cp->values(s)[0];
-    } else {
-      todo.push_back(s);
-    }
-  }
-  if (!todo.empty()) {
-    const auto lanes = parallel::parallel_map<selfconsistent::Problem>(
-        todo.size(), [&](std::size_t i) {
-          const std::size_t s = todo[i];
-          CounterNormalGen gen(spec.seed, s);
-          tech::Technology t = technology;
-          materials::Dielectric gf = gap_fill;
-          // Lognormal perturbations keep every quantity positive.
-          const double fw = std::exp(spec.width * gen());
-          const double ft = std::exp(spec.thickness * gen());
-          const double fb = std::exp(spec.stack * gen());
-          const double fk = std::exp(spec.k_thermal * gen());
-          for (auto& l : t.layers) {
-            if (l.level == level) {
-              l.pitch += l.width * (fw - 1.0);
-              l.width *= fw;
-              l.thickness *= ft;
-            }
-            l.ild_below *= fb;
+  // serial one for any thread count. Build the perturbed problems in
+  // parallel (the per-sample draw order fw, ft, fb, fk is unchanged) and
+  // solve them as ONE batch.
+  const auto lanes = parallel::parallel_map<selfconsistent::Problem>(
+      static_cast<std::size_t>(n_samples), [&](std::size_t s) {
+        CounterNormalGen gen(spec.seed, s);
+        tech::Technology t = technology;
+        materials::Dielectric gf = gap_fill;
+        // Lognormal perturbations keep every quantity positive.
+        const double fw = std::exp(spec.width * gen());
+        const double ft = std::exp(spec.thickness * gen());
+        const double fb = std::exp(spec.stack * gen());
+        const double fk = std::exp(spec.k_thermal * gen());
+        for (auto& l : t.layers) {
+          if (l.level == level) {
+            l.pitch += l.width * (fw - 1.0);
+            l.width *= fw;
+            l.thickness *= ft;
           }
-          gf.k_thermal *= fk;
-          return selfconsistent::make_level_problem(t, level, gf, phi,
-                                                    duty_cycle, A_per_m2(j0));
-        });
-    selfconsistent::BatchProblem bp;
-    bp.reserve(lanes.size());
-    for (const selfconsistent::Problem& p : lanes) bp.push_back(p);
-    const selfconsistent::BatchSolution bs = selfconsistent::solve_batch(
-        bp, [&](std::size_t lane,
-                const selfconsistent::BatchSolution& partial) {
-          const std::size_t s = todo[lane];
-          const double jp = partial.j_peak[lane];
-          if (cp != nullptr) cp->store(s, {jp});
-          out.samples[s] = jp;
-        });
-    bs.throw_first_failure();
-  }
-  if (cp != nullptr) cp->flush();
+          l.ild_below *= fb;
+        }
+        gf.k_thermal *= fk;
+        return selfconsistent::make_level_problem(t, level, gf, phi,
+                                                  duty_cycle, A_per_m2(j0));
+      });
+  selfconsistent::BatchProblem bp;
+  bp.reserve(lanes.size());
+  for (const selfconsistent::Problem& p : lanes) bp.push_back(p);
+  const selfconsistent::BatchSolution bs = selfconsistent::solve_batch(bp);
+  bs.throw_first_failure();
+  out.samples = bs.j_peak;
   // Reduction phase: fold the summary in index order on this thread — the
   // exact floating-point accumulation sequence of the serial loop.
   const auto stats = parallel::ordered_reduce(

@@ -23,16 +23,6 @@ Json diag_to_json(const core::SolverDiag& diag) {
   return root;
 }
 
-Json checkpoint_to_json(const core::CheckpointStats& stats) {
-  Json entry = Json::object();
-  entry.set("job", Json::string(stats.job))
-      .set("total_slots", Json::integer(static_cast<long long>(stats.total_slots)))
-      .set("completed", Json::integer(static_cast<long long>(stats.completed)))
-      .set("resumed", Json::integer(static_cast<long long>(stats.resumed)))
-      .set("flushes", Json::integer(static_cast<long long>(stats.flushes)));
-  return entry;
-}
-
 Json run_to_json(const core::RunContext& context) {
   Json run = Json::object();
   run.set("deadline_armed", Json::boolean(context.has_deadline()));
@@ -40,10 +30,6 @@ Json run_to_json(const core::RunContext& context) {
     run.set("deadline_remaining_s", Json::number(context.seconds_remaining()));
   run.set("cancelled", Json::boolean(context.cancel().cancel_requested()))
       .set("beats", Json::integer(static_cast<long long>(context.beats())));
-  Json checkpoints = Json::array();
-  for (const auto& stats : context.checkpoint_log())
-    checkpoints.push(checkpoint_to_json(stats));
-  run.set("checkpoints", std::move(checkpoints));
   return run;
 }
 

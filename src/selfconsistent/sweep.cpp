@@ -1,88 +1,13 @@
 #include "selfconsistent/sweep.h"
 
 #include <cmath>
-#include <cstdint>
-#include <memory>
 #include <stdexcept>
-#include <utility>
 
-#include "core/checkpoint.h"
 #include "parallel/parallel_for.h"
 #include "selfconsistent/batch.h"
 #include "thermal/impedance.h"
 
 namespace dsmt::selfconsistent {
-
-namespace {
-
-using core::hash_mix;
-
-/// Folds the job-defining fields of a Problem into a checkpoint config hash.
-/// Resistivity at T_ref stands in for the (rho_ref, tcr, t_ref) triple.
-std::uint64_t hash_problem(std::uint64_t h, const Problem& p) {
-  h = hash_mix(h, p.duty_cycle);
-  h = hash_mix(h, p.j0.value());
-  h = hash_mix(h, p.t_ref.value());
-  h = hash_mix(h, p.heating_coefficient.value());
-  h = hash_mix(h, p.metal.name);
-  h = hash_mix(h, p.metal.resistivity(p.t_ref));
-  h = hash_mix(h, p.metal.em.activation_energy_ev);
-  h = hash_mix(h, p.metal.em.current_exponent);
-  return h;
-}
-
-/// Solution <-> checkpoint slot payload. The diag chain is intentionally not
-/// part of the payload: resume must reproduce the numeric outputs bitwise,
-/// and a restored solution's provenance is recorded as a fresh diag entry.
-constexpr std::size_t kSolutionDoubles = 7;
-
-void encode_solution(const Solution& s, std::vector<double>& out) {
-  out.push_back(s.t_metal.value());
-  out.push_back(s.delta_t.value());
-  out.push_back(s.j_peak.value());
-  out.push_back(s.j_rms.value());
-  out.push_back(s.j_avg.value());
-  out.push_back(s.converged ? 1.0 : 0.0);
-  out.push_back(static_cast<double>(s.iterations));
-}
-
-Solution decode_solution(const double* v) {
-  Solution s;
-  s.t_metal = units::Kelvin{v[0]};
-  s.delta_t = units::CelsiusDelta{v[1]};
-  s.j_peak = A_per_m2(v[2]);
-  s.j_rms = A_per_m2(v[3]);
-  s.j_avg = A_per_m2(v[4]);
-  s.converged = v[5] != 0.0;
-  s.iterations = static_cast<int>(v[6]);
-  s.diag.kernel = "eq13/solve";
-  s.diag.record("eq13/solve", core::StatusCode::kOk, s.iterations,
-                0.0, "restored from checkpoint");
-  return s;
-}
-
-constexpr std::size_t kPointDoubles = kSolutionDoubles + 3;
-
-std::vector<double> encode_point(const DutyCyclePoint& pt) {
-  std::vector<double> out;
-  out.reserve(kPointDoubles);
-  out.push_back(pt.duty_cycle);
-  encode_solution(pt.sc, out);
-  out.push_back(pt.jpeak_em_only.value());
-  out.push_back(pt.jpeak_thermal_only.value());
-  return out;
-}
-
-DutyCyclePoint decode_point(const double* v) {
-  DutyCyclePoint pt;
-  pt.duty_cycle = v[0];
-  pt.sc = decode_solution(v + 1);
-  pt.jpeak_em_only = A_per_m2(v[1 + kSolutionDoubles]);
-  pt.jpeak_thermal_only = A_per_m2(v[2 + kSolutionDoubles]);
-  return pt;
-}
-
-}  // namespace
 
 std::vector<double> log_spaced(double lo, double hi, int points) {
   if (lo <= 0.0 || hi <= lo || points < 2)
@@ -96,135 +21,54 @@ std::vector<double> log_spaced(double lo, double hi, int points) {
 
 std::vector<DutyCyclePoint> sweep_duty_cycle(
     const Problem& base, const std::vector<double>& duty_cycles) {
-  // Claim the run's checkpoint spec (if any) for this driver; a nested call
-  // from sweep_j0 finds the spec already claimed and runs checkpoint-free.
-  core::ClaimedCheckpoint claim;
-  std::unique_ptr<core::SweepCheckpoint> cp;
-  if (claim.spec() != nullptr) {
-    std::uint64_t h = hash_problem(core::kConfigHashSeed, base);
-    h = hash_mix(h, static_cast<std::uint64_t>(duty_cycles.size()));
-    for (const double r : duty_cycles) h = hash_mix(h, r);
-    cp = std::make_unique<core::SweepCheckpoint>(
-        *claim.spec(), "duty_cycle_sweep", h, duty_cycles.size());
-  }
-
   // Reference thermal-only line (b): j_rms at the r = 1 self-consistent
   // point, divided by sqrt(r).
   Problem dc = base;
   dc.duty_cycle = 1.0;
   const double jrms_dc = solve_one(dc).j_rms;
 
-  // Restore checkpointed points up front, then solve the remainder as ONE
-  // batch: each duty cycle is still an independent self-consistent solve
-  // (one lane), and the batch decomposes over parallel_for in static index
-  // blocks, so the bits match the old per-point parallel_map at every
-  // thread count.
-  const std::size_t n = duty_cycles.size();
-  std::vector<DutyCyclePoint> points(n);
-  std::vector<std::size_t> todo;
-  todo.reserve(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    if (cp != nullptr && cp->has(k)) {
-      points[k] = decode_point(cp->values(k).data());
-    } else {
-      todo.push_back(k);
-    }
+  // Solve the points as ONE batch: each duty cycle is still an independent
+  // self-consistent solve (one lane), and the batch decomposes over
+  // parallel_for in static index blocks, so the bits match the old per-point
+  // parallel_map at every thread count.
+  BatchProblem bp;
+  bp.reserve(duty_cycles.size());
+  for (const double r : duty_cycles) {
+    // push_back only reads the POD physics fields, so push the base and
+    // patch the lane's duty in place of copying a whole Problem (the metal
+    // name alone would cost an allocation per lane).
+    bp.push_back(base);
+    bp.duty_cycle.back() = r;
   }
-
-  if (!todo.empty()) {
-    BatchProblem bp;
-    bp.reserve(todo.size());
-    for (const std::size_t k : todo) {
-      // push_back only reads the POD physics fields, so push the base and
-      // patch the lane's duty in place of copying a whole Problem (the
-      // metal name alone would cost an allocation per lane).
-      bp.push_back(base);
-      bp.duty_cycle.back() = duty_cycles[k];
-    }
-    const auto make_point = [&](std::size_t lane, Solution sol) {
-      const std::size_t k = todo[lane];
-      const double r = duty_cycles[k];
-      Problem p = base;
-      p.duty_cycle = r;
-      DutyCyclePoint pt;
-      pt.duty_cycle = r;
-      pt.sc = std::move(sol);
-      pt.jpeak_em_only = jpeak_em_only(p);
-      pt.jpeak_thermal_only = A_per_m2(jrms_dc / std::sqrt(r));
-      return pt;
-    };
-    // A per-lane callback (running on the solving worker the moment a lane
-    // converges) exists to preserve the old per-point checkpoint store
-    // granularity; without a checkpoint the lanes are drained after the
-    // batch instead, moving each diag chain out rather than copying it.
-    LaneCallback on_done;
-    if (cp != nullptr) {
-      on_done = [&](std::size_t lane, const BatchSolution& partial) {
-        const std::size_t k = todo[lane];
-        DutyCyclePoint pt = make_point(lane, partial.lane_solution(lane));
-        cp->store(k, encode_point(pt));
-        points[k] = std::move(pt);
-      };
-    }
-    BatchSolution bs = solve_batch(bp, on_done);
-    // Same failure contract as parallel_map's FirstError: the lowest-index
-    // failed lane's exception, with completed slots already stored (and, as
-    // before, no flush on the exception path).
-    bs.throw_first_failure();
-    if (cp == nullptr) {
-      for (std::size_t lane = 0; lane < todo.size(); ++lane)
-        points[todo[lane]] = make_point(lane, bs.take_lane_solution(lane));
-    }
+  BatchSolution bs = solve_batch(bp);
+  // Same failure contract as parallel_map's FirstError: the lowest-index
+  // failed lane's exception.
+  bs.throw_first_failure();
+  std::vector<DutyCyclePoint> points(duty_cycles.size());
+  for (std::size_t k = 0; k < points.size(); ++k) {
+    const double r = duty_cycles[k];
+    Problem p = base;
+    p.duty_cycle = r;
+    DutyCyclePoint& pt = points[k];
+    pt.duty_cycle = r;
+    bs.drain_lane_into(k, pt.sc);
+    pt.jpeak_em_only = jpeak_em_only(p);
+    pt.jpeak_thermal_only = A_per_m2(jrms_dc / std::sqrt(r));
   }
-  if (cp != nullptr) cp->flush();
   return points;
 }
 
 std::vector<std::vector<DutyCyclePoint>> sweep_j0(
     const Problem& base, const std::vector<double>& j0_values,
     const std::vector<double>& duty_cycles) {
-  // Claim before the nested sweeps can: one slot = one whole j0 row, so the
-  // file granularity matches the outer parallel grid.
-  core::ClaimedCheckpoint claim;
-  std::unique_ptr<core::SweepCheckpoint> cp;
-  if (claim.spec() != nullptr) {
-    std::uint64_t h = hash_problem(core::kConfigHashSeed, base);
-    h = hash_mix(h, static_cast<std::uint64_t>(j0_values.size()));
-    for (const double j : j0_values) h = hash_mix(h, j);
-    h = hash_mix(h, static_cast<std::uint64_t>(duty_cycles.size()));
-    for (const double r : duty_cycles) h = hash_mix(h, r);
-    cp = std::make_unique<core::SweepCheckpoint>(*claim.spec(), "j0_sweep", h,
-                                                 j0_values.size());
-  }
-
   // Parallel over the j0 family; the nested sweep_duty_cycle runs inline on
   // the worker, so the grid is covered once with no oversubscription.
-  auto rows = parallel::parallel_map<std::vector<DutyCyclePoint>>(
+  return parallel::parallel_map<std::vector<DutyCyclePoint>>(
       j0_values.size(), [&](std::size_t i) {
-        if (cp != nullptr && cp->has(i)) {
-          const std::vector<double>& flat = cp->values(i);
-          std::vector<DutyCyclePoint> row;
-          row.reserve(duty_cycles.size());
-          for (std::size_t k = 0; k < duty_cycles.size(); ++k)
-            row.push_back(decode_point(flat.data() + k * kPointDoubles));
-          return row;
-        }
         Problem p = base;
         p.j0 = A_per_m2(j0_values[i]);
-        auto row = sweep_duty_cycle(p, duty_cycles);
-        if (cp != nullptr) {
-          std::vector<double> flat;
-          flat.reserve(row.size() * kPointDoubles);
-          for (const DutyCyclePoint& pt : row) {
-            const auto enc = encode_point(pt);
-            flat.insert(flat.end(), enc.begin(), enc.end());
-          }
-          cp->store(i, std::move(flat));
-        }
-        return row;
+        return sweep_duty_cycle(p, duty_cycles);
       });
-  if (cp != nullptr) cp->flush();
-  return rows;
 }
 
 Problem make_level_problem(const tech::Technology& technology, int level,
@@ -246,150 +90,60 @@ Problem make_level_problem(const tech::Technology& technology, int level,
 }
 
 std::vector<TableCell> generate_design_rule_table(const TableSpec& spec) {
-  // Flatten the (duty x gap-fill x level) grid so every cell solves in
-  // parallel; the flattened index preserves the serial nesting order, so
-  // the returned vector is laid out exactly as the loop version's.
+  // The returned vector is laid out in the serial (duty x gap-fill x level)
+  // nesting order: idx = (r_idx * n_gf + gf_idx) * n_lv + lv_idx.
   const std::size_t n_r = spec.duty_cycles.size();
   const std::size_t n_gf = spec.gap_fills.size();
   const std::size_t n_lv = spec.levels.size();
+  std::vector<TableCell> cells(n_r * n_gf * n_lv);
+  if (cells.empty()) return cells;
 
-  core::ClaimedCheckpoint claim;
-  std::unique_ptr<core::SweepCheckpoint> cp;
-  if (claim.spec() != nullptr) {
-    std::uint64_t h = hash_mix(core::kConfigHashSeed, spec.technology.name);
-    for (const int lv : spec.levels)
-      h = hash_mix(h, static_cast<std::uint64_t>(lv));
-    for (const auto& gf : spec.gap_fills) {
-      h = hash_mix(h, gf.name);
-      h = hash_mix(h, gf.k_thermal.value());
-    }
-    for (const double r : spec.duty_cycles) h = hash_mix(h, r);
-    h = hash_mix(h, spec.j0.value());
-    h = hash_mix(h, spec.phi);
-    cp = std::make_unique<core::SweepCheckpoint>(
-        *claim.spec(), "design_rule_table", h, n_r * n_gf * n_lv);
-  }
+  // The duty cycle only sets Problem::duty_cycle (the heating coefficient is
+  // geometry-only), so each (gap-fill, level) pair builds its layer stack
+  // exactly once and the n_r duty variants reuse the prototype —
+  // bit-identical lanes, n_r x fewer stack constructions. Prototypes are
+  // built in cell order, so a bad level throws from the lowest cell that
+  // names it, as a per-cell parallel_map would have.
+  std::vector<Problem> protos;
+  protos.reserve(n_gf * n_lv);
+  for (const auto& gap_fill : spec.gap_fills)
+    for (const int level : spec.levels)
+      protos.push_back(make_level_problem(spec.technology, level, gap_fill,
+                                          spec.phi, spec.duty_cycles.front(),
+                                          spec.j0));
 
-  // Key the cells and restore checkpointed slots up front. The (level,
-  // dielectric, duty) key is derived from the flattened index, so the slot
-  // payload only needs the Solution fields.
-  const std::size_t n_cells = n_r * n_gf * n_lv;
-  std::vector<TableCell> cells(n_cells);
-  std::vector<std::size_t> todo;
-  todo.reserve(n_cells);
-  // Direct traversal of the (duty, gap fill, level) nesting — the same
-  // flattened order idx = (r_idx * n_gf + gf_idx) * n_lv + lv_idx, without
-  // the three per-cell divisions of decoding idx back into indices.
-  {
-    std::size_t idx = 0;
-    for (std::size_t r_idx = 0; r_idx < n_r; ++r_idx)
-      for (std::size_t gf_idx = 0; gf_idx < n_gf; ++gf_idx)
-        for (std::size_t lv_idx = 0; lv_idx < n_lv; ++lv_idx, ++idx) {
-          TableCell& cell = cells[idx];
-          cell.level = spec.levels[lv_idx];
-          cell.dielectric = spec.gap_fills[gf_idx].name;
-          cell.duty_cycle = spec.duty_cycles[r_idx];
-          if (cp != nullptr && cp->has(idx)) {
-            cell.sol = decode_solution(cp->values(idx).data());
-          } else {
-            todo.push_back(idx);
-          }
-        }
-  }
+  // One batch over every cell. Lane order groups each prototype's duty
+  // variants contiguously (duty innermost), which is what the batch solver's
+  // duty-run memo shares rho(T)/exp evaluations across:
+  // lane = (gf_idx * n_lv + lv_idx) * n_r + r_idx.
+  BatchProblem bp;
+  bp.reserve(cells.size());
+  for (const Problem& proto : protos)
+    for (const double r : spec.duty_cycles) {
+      // push_back only reads the POD physics fields, so patch the lane's
+      // duty in place of copying the whole prototype per cell.
+      bp.push_back(proto);
+      bp.duty_cycle.back() = r;
+    }
+  BatchSolution bs = solve_batch(bp);
 
-  if (!todo.empty()) {
-    // One batch over the remaining cells. The duty cycle only sets
-    // Problem::duty_cycle (the heating coefficient is geometry-only), so
-    // each (gap-fill, level) pair builds its layer stack exactly once and
-    // the n_r duty variants reuse the prototype — bit-identical lanes,
-    // n_r x fewer stack constructions. Prototypes are built lazily in todo
-    // order so a bad level still throws from the same lowest cell a
-    // parallel_map would have reported, and a fully restored run builds
-    // nothing at all.
-    const auto slot_of = [n_lv, n_gf](std::size_t idx) {
-      return ((idx / n_lv) % n_gf) * n_lv + idx % n_lv;
-    };
-    std::vector<Problem> protos(n_gf * n_lv);
-    std::vector<char> built(n_gf * n_lv, 0);
-    for (const std::size_t idx : todo) {
-      const std::size_t slot = slot_of(idx);
-      if (!built[slot]) {
-        protos[slot] = make_level_problem(
-            spec.technology, spec.levels[idx % n_lv],
-            spec.gap_fills[(idx / n_lv) % n_gf], spec.phi,
-            spec.duty_cycles[idx / (n_gf * n_lv)], spec.j0);
-        built[slot] = 1;
-      }
-    }
-    // Lane order groups each prototype's duty variants contiguously (duty
-    // innermost), which is what the batch solver's duty-run memo shares
-    // rho(T)/exp evaluations across. The public cell order is untouched:
-    // order[] maps lane -> flattened cell index. Built by direct traversal
-    // of the (gap fill, level, duty) grid — no sort, no divisions.
-    // pending[] only matters when a checkpoint restored part of the table;
-    // the common full-solve case skips the bitmap and its per-cell test.
-    const bool all_pending = todo.size() == n_cells;
-    std::vector<char> pending;
-    if (!all_pending) {
-      pending.assign(n_cells, 0);
-      for (const std::size_t idx : todo) pending[idx] = 1;
-    }
-    std::vector<std::size_t> order;
-    order.reserve(todo.size());
-    BatchProblem bp;
-    bp.reserve(todo.size());
+  // Drain in CELL order: the big writes (a Solution per TableCell) land
+  // sequentially; only the much smaller per-lane reads are scattered by the
+  // permutation. The first failed cell in this order throws — parallel_map's
+  // first-failure contract, which with the permutation is not necessarily
+  // the lowest failed lane.
+  std::size_t idx = 0;
+  for (std::size_t r_idx = 0; r_idx < n_r; ++r_idx)
     for (std::size_t gf_idx = 0; gf_idx < n_gf; ++gf_idx)
-      for (std::size_t lv_idx = 0; lv_idx < n_lv; ++lv_idx) {
-        const std::size_t slot = gf_idx * n_lv + lv_idx;
-        for (std::size_t r_idx = 0; r_idx < n_r; ++r_idx) {
-          const std::size_t idx = (r_idx * n_gf + gf_idx) * n_lv + lv_idx;
-          if (!all_pending && !pending[idx]) continue;
-          order.push_back(idx);
-          // push_back only reads the POD physics fields, so patch the
-          // lane's duty in place of copying the whole prototype per cell.
-          bp.push_back(protos[slot]);
-          bp.duty_cycle.back() = spec.duty_cycles[r_idx];
-        }
+      for (std::size_t lv_idx = 0; lv_idx < n_lv; ++lv_idx, ++idx) {
+        const std::size_t lane = (gf_idx * n_lv + lv_idx) * n_r + r_idx;
+        if (!bs.ok(lane)) bs.throw_lane(lane);
+        TableCell& cell = cells[idx];
+        cell.level = spec.levels[lv_idx];
+        cell.dielectric = spec.gap_fills[gf_idx].name;
+        cell.duty_cycle = spec.duty_cycles[r_idx];
+        bs.drain_lane_into(lane, cell.sol);
       }
-    // Per-lane callback only when a checkpoint wants the old per-cell store
-    // granularity; otherwise drain the lanes post-batch, moving each diag
-    // chain out instead of copying it.
-    LaneCallback on_done;
-    if (cp != nullptr) {
-      on_done = [&](std::size_t lane, const BatchSolution& partial) {
-        const std::size_t idx = order[lane];
-        cells[idx].sol = partial.lane_solution(lane);
-        std::vector<double> enc;
-        enc.reserve(kSolutionDoubles);
-        encode_solution(cells[idx].sol, enc);
-        cp->store(idx, std::move(enc));
-      };
-    }
-    BatchSolution bs = solve_batch(bp, on_done);
-    // Same failure contract as parallel_map's FirstError: the lowest-index
-    // failed CELL throws — which, with the lane permutation, is no longer
-    // the lowest failed lane.
-    std::size_t bad_lane = BatchSolution::npos;
-    std::size_t bad_cell = n_cells;
-    for (std::size_t lane = 0; lane < order.size(); ++lane) {
-      if (!bs.ok(lane) && order[lane] < bad_cell) {
-        bad_lane = lane;
-        bad_cell = order[lane];
-      }
-    }
-    if (bad_lane != BatchSolution::npos) bs.throw_lane(bad_lane);
-    if (cp == nullptr) {
-      // Drain in CELL order: the big writes (a Solution per TableCell) land
-      // sequentially; only the much smaller per-lane reads are scattered by
-      // the permutation. lane_for inverts order[].
-      std::vector<std::size_t> lane_for(n_cells, 0);
-      for (std::size_t lane = 0; lane < order.size(); ++lane)
-        lane_for[order[lane]] = lane;
-      for (const std::size_t cell_idx : todo)
-        bs.drain_lane_into(lane_for[cell_idx], cells[cell_idx].sol);
-    }
-  }
-  if (cp != nullptr) cp->flush();
   return cells;
 }
 

@@ -479,24 +479,6 @@ TEST(BatchProperty, ThreadCountInvariance) {
   parallel::set_thread_count(0);
 }
 
-// The LaneCallback fires exactly once per kOk lane, with that lane's final
-// values already stored; failed lanes are never announced.
-TEST(BatchProperty, LaneCallbackFiresOncePerOkLane) {
-  const std::size_t n = 200;
-  const std::vector<Problem> ps = random_problems(0xCA11ULL, n);
-  parallel::set_thread_count(1);  // serial: counting without synchronization
-  std::vector<int> seen(n, 0);
-  const BatchSolution bs =
-      solve_batch(to_batch(ps), [&](std::size_t i, const BatchSolution& s) {
-        ++seen[i];
-        EXPECT_EQ(s.status[i], StatusCode::kOk);
-        EXPECT_GT(s.t_metal[i], 0.0);
-      });
-  parallel::set_thread_count(0);
-  for (std::size_t i = 0; i < n; ++i)
-    EXPECT_EQ(seen[i], bs.ok(i) ? 1 : 0) << "lane " << i;
-}
-
 // BatchProblem::problem round-trips the physics fields, so a lane can be
 // re-solved scalar for error reporting.
 TEST(BatchProperty, ProblemRoundTrip) {

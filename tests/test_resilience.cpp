@@ -1,9 +1,10 @@
-// Long-job resilience contract: monotonic deadlines, cooperative
-// cancellation, and checkpoint/resume must compose with the determinism and
-// fault-injection layers — a killed-then-resumed sweep is bitwise identical
-// to an uninterrupted one at every thread count, an expired deadline
-// surfaces as kDeadlineExceeded in the SolverDiag chain within a bounded
-// wall time, and an inert RunContext changes no output bit.
+// Long-job resilience contract: monotonic deadlines and cooperative
+// cancellation must compose with the determinism and fault-injection layers
+// — a run killed mid-sweep ends with the exact interruption status and
+// leaves nothing behind, so a rerun is bitwise identical to an uninterrupted
+// run at every thread count; an expired deadline surfaces as
+// kDeadlineExceeded in the SolverDiag chain within a bounded wall time; and
+// an inert RunContext changes no output bit.
 //
 // This suite mutates the global thread count and arms fault plans, so it
 // lives in its own executable (label: resilience).
@@ -19,7 +20,6 @@
 #include <vector>
 
 #include "core/atomic_file.h"
-#include "core/checkpoint.h"
 #include "core/run_context.h"
 #include "core/signoff.h"
 #include "core/status.h"
@@ -34,7 +34,6 @@
 namespace dsmt {
 namespace {
 
-using core::CheckpointSpec;
 using core::RunContext;
 using core::ScopedRunContext;
 using core::StatusCode;
@@ -220,7 +219,7 @@ TEST(RunContext, CancelAfterChecksTripsExactlyOnce) {
 TEST(RunContext, InertContextChangesNoOutputBit) {
   parallel::set_thread_count(2);
   const auto bare = selfconsistent::generate_design_rule_table(table_spec());
-  RunContext ctx;  // no deadline, no cancel, no checkpoint
+  RunContext ctx;  // no deadline, no cancel
   ScopedRunContext scope(ctx);
   const auto guarded = selfconsistent::generate_design_rule_table(table_spec());
   compare_tables(bare, guarded, "inert context");
@@ -228,83 +227,13 @@ TEST(RunContext, InertContextChangesNoOutputBit) {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint file integrity.
-
-TEST(CheckpointFile, HexfloatPayloadRoundTripsBitwise) {
-  const std::string path = temp_path("ckpt_roundtrip.ckpt");
-  std::remove(path.c_str());
-  const std::vector<double> exotic = {1.0 / 3.0, -0.0, 5e-324,
-                                      1.7976931348623157e308, 373.15};
-  {
-    core::SweepCheckpoint cp({path, 1}, "roundtrip", 42, 2);
-    cp.store(1, exotic);
-    cp.flush();
-  }
-  core::SweepCheckpoint cp({path, 1}, "roundtrip", 42, 2);
-  EXPECT_FALSE(cp.has(0));
-  ASSERT_TRUE(cp.has(1));
-  const auto& got = cp.values(1);
-  ASSERT_EQ(got.size(), exotic.size());
-  for (std::size_t i = 0; i < exotic.size(); ++i)
-    expect_bits_equal(exotic[i], got[i], "value " + std::to_string(i));
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointFile, FormatHeaderIsVersionGated) {
-  const std::string path = temp_path("ckpt_header.ckpt");
-  std::remove(path.c_str());
-  {
-    core::SweepCheckpoint cp({path, 1}, "hdr", 7, 1);
-    cp.store(0, {1.0});
-    cp.flush();
-  }
-  std::ifstream is(path);
-  std::string first;
-  std::getline(is, first);
-  EXPECT_EQ(first, "dsmt-checkpoint v1");
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointFile, MismatchedIdentityThrows) {
-  const std::string path = temp_path("ckpt_mismatch.ckpt");
-  std::remove(path.c_str());
-  {
-    core::SweepCheckpoint cp({path, 1}, "job_a", 100, 4);
-    cp.store(0, {1.0});
-    cp.flush();
-  }
-  const CheckpointSpec spec{path, 1};
-  EXPECT_THROW(core::SweepCheckpoint(spec, "job_b", 100, 4), SolveError);
-  EXPECT_THROW(core::SweepCheckpoint(spec, "job_a", 101, 4), SolveError);
-  EXPECT_THROW(core::SweepCheckpoint(spec, "job_a", 100, 5), SolveError);
-  // The matching identity still loads.
-  core::SweepCheckpoint ok(spec, "job_a", 100, 4);
-  EXPECT_TRUE(ok.has(0));
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointFile, CorruptFileThrowsInsteadOfSilentlyRestarting) {
-  const std::string path = temp_path("ckpt_corrupt.ckpt");
-  const CheckpointSpec spec{path, 1};
-  core::atomic_write_file(path, "not a checkpoint at all\n");
-  EXPECT_THROW(core::SweepCheckpoint(spec, "job", 1, 2), SolveError);
-  core::atomic_write_file(
-      path, "dsmt-checkpoint v1\njob job\nconfig 0000000000000001\n"
-            "slots 2\nslot 0 1 banana\n");
-  EXPECT_THROW(core::SweepCheckpoint(spec, "job", 1, 2), SolveError);
-  core::atomic_write_file(
-      path, "dsmt-checkpoint v1\njob job\nconfig 0000000000000001\n"
-            "slots 2\nslot 9 1 0x1p+0\n");
-  EXPECT_THROW(core::SweepCheckpoint(spec, "job", 1, 2), SolveError);
-  std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------------
 // Kill-then-rerun chaos: cancel at randomized poll counts and require the
 // exact interruption status, then rerun with no context and require bitwise
 // equality with the uninterrupted reference at 1, 2, and 8 threads. An
 // interrupted sweep leaves nothing behind, so the rerun is a fresh run of the
-// same deterministic grid. Composes with the fault injector below.
+// same deterministic grid. Composes with the fault injector below. (The
+// suite keeps the names these tests had when sweeps resumed from a
+// checkpoint file; DESIGN.md §17 records why that file is gone.)
 
 /// Runs `job` under a context whose token trips after `fuse` kernel polls,
 /// and expects the run to end in SolveError with exactly kCancelled.
@@ -451,38 +380,6 @@ TEST(CheckpointResume, DeadlineKillThenResumeBitIdentical) {
   parallel::set_thread_count(0);
 }
 
-// A fully checkpointed run must not invoke a single solver kernel on
-// resume: with every slot restored, a fault plan poisoning ALL kernels
-// never fires.
-TEST(CheckpointResume, FullResumeRunsNoSolver) {
-  parallel::set_thread_count(2);
-  const std::string path = temp_path("ckpt_full.ckpt");
-  std::remove(path.c_str());
-  std::vector<selfconsistent::TableCell> first;
-  {
-    RunContext ctx;
-    ctx.set_checkpoint({path, 4});
-    ScopedRunContext scope(ctx);
-    first = selfconsistent::generate_design_rule_table(table_spec());
-  }
-  {
-    RunContext ctx;
-    ctx.set_checkpoint({path, 4});
-    ScopedRunContext scope(ctx);
-    ScopedFault fault({FaultKind::kNanResidual, "", 1, 0.0, ""});
-    const auto resumed = selfconsistent::generate_design_rule_table(table_spec());
-    EXPECT_EQ(numeric::fault::injection_count(), 0);
-    compare_tables(first, resumed, "full resume");
-    // Restored cells carry their provenance in the diag chain.
-    ASSERT_FALSE(resumed.front().sol.diag.chain.empty());
-    EXPECT_NE(resumed.front().sol.diag.chain.back().note.find(
-                  "restored from checkpoint"),
-              std::string::npos);
-  }
-  std::remove(path.c_str());
-  parallel::set_thread_count(0);
-}
-
 // Chaos composition: the fault injector perturbs every Brent residual
 // (deterministically) while cancellation kills the run mid-flight; the rerun
 // must still match the uninterrupted run under the same fault plan.
@@ -527,13 +424,6 @@ TEST(SignoffJson, RunKeyCarriesResilienceState) {
   }
   RunContext ctx =
       RunContext::with_deadline_after(std::chrono::seconds(3600));
-  core::CheckpointStats stats;
-  stats.job = "design_rule_table";
-  stats.total_slots = 24;
-  stats.completed = 24;
-  stats.resumed = 7;
-  stats.flushes = 3;
-  ctx.note_checkpoint(stats);
   ScopedRunContext scope(ctx);
   const std::string json = report.to_json(0);
   EXPECT_NE(json.find("\"run\""), std::string::npos);
@@ -541,10 +431,7 @@ TEST(SignoffJson, RunKeyCarriesResilienceState) {
   EXPECT_NE(json.find("\"deadline_remaining_s\""), std::string::npos);
   EXPECT_NE(json.find("\"cancelled\": false"), std::string::npos);
   EXPECT_NE(json.find("\"beats\""), std::string::npos);
-  EXPECT_NE(json.find("\"checkpoints\""), std::string::npos);
-  EXPECT_NE(json.find("\"job\": \"design_rule_table\""), std::string::npos);
-  EXPECT_NE(json.find("\"resumed\": 7"), std::string::npos);
-  EXPECT_NE(json.find("\"flushes\": 3"), std::string::npos);
+  EXPECT_EQ(json.find("\"checkpoints\""), std::string::npos);
 }
 
 }  // namespace

@@ -40,9 +40,9 @@ Rules (library code under src/ only — tests/bench/examples are exempt):
                   a growable queue on that path is exactly how overload
                   stops being explicit shedding and becomes OOM.
   R9 lock-vocabulary  The annotated concurrent subsystems (src/parallel/,
-                  src/service/, core/signoff, core/run_context,
-                  core/checkpoint, numeric/fault_injection) must use the
-                  capability-annotated dsmt::Mutex / dsmt::MutexLock /
+                  src/service/, src/net/, src/supervise/, src/cache/,
+                  core/signoff, core/run_context, numeric/fault_injection)
+                  must use the capability-annotated dsmt::Mutex / dsmt::MutexLock /
                   dsmt::CondVar from core/thread_annotations.h. Raw
                   std::mutex / std::lock_guard / std::unique_lock /
                   std::condition_variable there silently opt shared state
@@ -85,8 +85,7 @@ Rules (library code under src/ only — tests/bench/examples are exempt):
                   cache/fnv.h — everywhere else calls cache::fnv1a, so a
                   typo'd prime cannot silently fork the hash that segment
                   checksums, shard routing, and quarantine keys agree on.
-                  core/checkpoint.{h,cpp} are exempt: the core layer cannot
-                  depend on cache/ and its config-hash predates the cache.
+                  No file is exempt.
                   (b) The segment primitives (core::AppendLog,
                   truncate_file_to, the "DSC1" magic) may appear only under
                   src/cache/ and in core/atomic_file.{h,cpp}, their
@@ -154,9 +153,6 @@ CONVERGED_HOMES = {
     "core/status.h", "core/status.cpp",
     "numeric/fault_injection.h", "numeric/fault_injection.cpp",
     "numeric/roots.cpp", "numeric/sparse.cpp",
-    # The checkpoint slot codec round-trips the flag verbatim (serialization,
-    # not a convergence branch).
-    "selfconsistent/sweep.cpp",
 }
 
 # A `.converged` occurrence that is not a plain assignment (writes stay
@@ -204,7 +200,6 @@ CONCURRENCY_FENCE_PREFIXES = ("parallel/", "service/", "net/", "supervise/",
 CONCURRENCY_FENCE_FILES = {
     "core/signoff.cpp",
     "core/run_context.h", "core/run_context.cpp",
-    "core/checkpoint.h", "core/checkpoint.cpp",
     "numeric/fault_injection.h", "numeric/fault_injection.cpp",
 }
 THREAD_ANNOTATIONS_HOME = "core/thread_annotations.h"
@@ -319,10 +314,7 @@ PROCESS_SYSCALL_RE = _syscall_re(PROCESS_SYSCALL_NAMES)
 # typo'd prime cannot silently fork it. 1469598103934665603 is the frozen
 # historical canonical-request basis (PR 9's supervise hash) — changing or
 # re-deriving it would orphan every persisted quarantine table and segment.
-# core/checkpoint.{h,cpp} keep a private pre-cache copy: the core layer
-# cannot depend on cache/, so their config hash is exempt.
 FNV_HOME = "cache/fnv.h"
-FNV_EXEMPT_FILES = ("core/checkpoint.h", "core/checkpoint.cpp")
 FNV_LITERAL_RE = re.compile(
     r"\b(?:14695981039346656037|1469598103934665603|1099511628211)"
     r"[uUlL]*\b|"
@@ -578,11 +570,10 @@ def lint_file(path: pathlib.Path, rel: str, errors: list):
 
     # R14: cache-file I/O and checksum primitives are fenced into
     # src/cache/. (a) The FNV-1a constants may be spelled only in
-    # cache/fnv.h (core/checkpoint's private pre-cache copy is exempt);
-    # everyone else calls cache::fnv1a. (b) The segment append/truncate
+    # cache/fnv.h; everyone else calls cache::fnv1a. (b) The segment append/truncate
     # primitives and the segment magic live under src/cache/ and in their
     # implementation home core/atomic_file.{h,cpp}.
-    if rel != FNV_HOME and rel not in FNV_EXEMPT_FILES:
+    if rel != FNV_HOME:
         for i, raw in enumerate(lines):
             line = strip_comments(raw)
             m = FNV_LITERAL_RE.search(line)
@@ -1335,15 +1326,16 @@ def self_test() -> int:
             print("self-test FAILED: R14 fired inside src/cache/")
             return 1
 
-        # ... exempts core/checkpoint's private FNV copy while still fencing
-        # the segment primitives there ...
+        # ... fences both halves in core/, including the path of the
+        # former FNV exemption (core/checkpoint.cpp) ...
         errors = []
         lint_file(bad_cache, "core/checkpoint.cpp", errors)
         cache_errs = [e for e in errors if "[cache-primitives]" in e]
-        if len(cache_errs) != 3 or any("FNV" in e for e in cache_errs):
+        if len(cache_errs) != 7 or \
+                sum("FNV" in e for e in cache_errs) != 4:
             print(f"self-test FAILED: checkpoint.cpp raised "
                   f"{len(cache_errs)} cache-primitives violations, expected "
-                  f"3 segment-primitive ones:")
+                  f"4 FNV-constant and 3 segment-primitive ones:")
             for e in errors:
                 print("  " + e)
             return 1
