@@ -65,6 +65,16 @@ StatusCode RunContext::poll() const {
   return StatusCode::kOk;
 }
 
+std::chrono::steady_clock::time_point deadline_after(std::uint64_t budget_ns) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point now = Clock::now();
+  const auto headroom = std::chrono::duration_cast<std::chrono::nanoseconds>(
+      Clock::time_point::max() - now);
+  if (budget_ns >= static_cast<std::uint64_t>(headroom.count()))
+    return Clock::time_point::max();
+  return now + std::chrono::nanoseconds(static_cast<std::int64_t>(budget_ns));
+}
+
 const RunContext* current_run_context() { return g_current; }
 
 ScopedRunContext::ScopedRunContext(const RunContext& context)

@@ -97,6 +97,12 @@ class RunContext {
   std::shared_ptr<std::atomic<std::uint64_t>> beats_;
 };
 
+/// The steady-clock instant `budget_ns` [ns] from now, saturating at the
+/// clock's last instant: a budget past the clock's range means "no practical
+/// deadline", never an instant that wrapped into the past. Every configured
+/// request budget (net, service) becomes a deadline through this one sum.
+std::chrono::steady_clock::time_point deadline_after(std::uint64_t budget_ns);
+
 /// The ambient context of the current thread, or nullptr outside any
 /// ScopedRunContext. Kernels never call this directly — they use run_check().
 const RunContext* current_run_context();

@@ -4,6 +4,7 @@
 #include <signal.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <new>
 #include <stdexcept>
@@ -144,7 +145,7 @@ NetStats Server::run() {
             break;
           }
         }
-        if (!forced_ && tick >= drain_start_tick_ + config_.drain_timeout_ticks)
+        if (!forced_ && tick - drain_start_tick_ >= config_.drain_timeout_ticks)
           force_drain();
       }
 
@@ -408,11 +409,16 @@ void Server::dispatch_request(Connection& conn, std::uint64_t seq,
 
   // The request's compute budget merges (min) the configured per-request
   // deadline with the connection's eviction budget: a reply the reaper
-  // would kill the connection for anyway is not worth computing.
+  // would kill the connection for anyway is not worth computing. The
+  // product saturates: a budget past 2^64 ns means "never", not whatever
+  // the product wraps to.
   const int tick_ms = config_.tick_ms > 0 ? config_.tick_ms : 1;
-  const std::uint64_t eviction_ns = config_.idle_timeout_ticks *
-                                    static_cast<std::uint64_t>(tick_ms) *
-                                    1000000ull;
+  const std::uint64_t tick_ns =
+      static_cast<std::uint64_t>(tick_ms) * 1000000ull;
+  const std::uint64_t eviction_ns =
+      config_.idle_timeout_ticks > UINT64_MAX / tick_ns
+          ? UINT64_MAX
+          : config_.idle_timeout_ticks * tick_ns;
   std::uint64_t budget_ns = config_.request_deadline_ns;
   if (eviction_ns > 0 && (budget_ns == 0 || eviction_ns < budget_ns))
     budget_ns = eviction_ns;
@@ -430,9 +436,7 @@ void Server::dispatch_request(Connection& conn, std::uint64_t seq,
     try {
       core::RunContext ctx;
       ctx.cancel() = drain_cancel;
-      if (budget_ns > 0)
-        ctx.set_deadline(std::chrono::steady_clock::now() +
-                         std::chrono::nanoseconds(budget_ns));
+      if (budget_ns > 0) ctx.set_deadline(core::deadline_after(budget_ns));
       core::ScopedRunContext scope(ctx);
       frame = config_.handler(request, seq);
     } catch (const std::bad_alloc&) {
@@ -462,6 +466,8 @@ void Server::dispatch_request(Connection& conn, std::uint64_t seq,
 
 void Server::reap(std::uint64_t tick) {
   if (config_.idle_timeout_ticks == 0) return;
+  // Compare elapsed ticks with the budget (every stamp is an earlier tick):
+  // stamp + budget would wrap for the largest budgets.
   const std::uint64_t budget = config_.idle_timeout_ticks;
   for (auto& entry : connections_) {
     Connection& conn = *entry.second;
@@ -469,20 +475,20 @@ void Server::reap(std::uint64_t tick) {
     // Slow-loris: an incomplete frame must finish within the budget no
     // matter how steadily bytes trickle in.
     if (conn.reading() && conn.mid_frame() &&
-        tick >= conn.frame_start_tick() + budget) {
+        tick - conn.frame_start_tick() >= budget) {
       evict(conn, stats_.evicted_midframe,
             "connection evicted: frame not completed within its budget");
       continue;
     }
     // Write stall: the peer stopped reading its replies.
-    if (conn.wants_write() && tick >= conn.last_flush_tick() + budget) {
+    if (conn.wants_write() && tick - conn.last_flush_tick() >= budget) {
       evict(conn, stats_.evicted_stalled,
             "connection evicted: peer stopped reading replies");
       continue;
     }
     // Plain idle: no traffic either way and nothing in flight.
     if (conn.reading() && !conn.mid_frame() && conn.inflight() == 0 &&
-        !conn.wants_write() && tick >= conn.last_activity_tick() + budget) {
+        !conn.wants_write() && tick - conn.last_activity_tick() >= budget) {
       evict(conn, stats_.evicted_idle, "connection evicted: idle timeout");
     }
   }

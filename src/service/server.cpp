@@ -1,6 +1,5 @@
 #include "service/server.h"
 
-#include <chrono>
 #include <exception>
 #include <new>
 #include <optional>
@@ -141,9 +140,7 @@ Response Server::execute(const Request& request) {
     if (ambient == nullptr || !ambient->has_deadline() ||
         ambient->seconds_remaining() > budget_s) {
       deadline_ctx = ambient != nullptr ? *ambient : core::RunContext{};
-      deadline_ctx->set_deadline(
-          std::chrono::steady_clock::now() +
-          std::chrono::nanoseconds(config_.deadline_ns));
+      deadline_ctx->set_deadline(core::deadline_after(config_.deadline_ns));
       deadline_scope.emplace(*deadline_ctx);
     }
   }

@@ -736,6 +736,76 @@ TEST_F(NetServerTest, SigtermDrainsGracefully) {
   EXPECT_TRUE(stats.drained_clean);
 }
 
+// ---- the largest budgets the options accept ------------------------------
+// A budget at the top of its range means "never", not "at once": tick
+// arithmetic compares elapsed ticks, and the nanosecond products saturate.
+
+TEST_F(NetServerTest, KeepsAnIdleConnectionUnderTheLargestIdleBudget) {
+  net::NetConfig config = fast_config();
+  config.idle_timeout_ticks = UINT64_MAX;
+  start(std::move(config));
+  Client client(path());
+  ASSERT_TRUE(client.connected());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // ~10 ticks
+  ASSERT_TRUE(client.send_frame(request_payload("idle-max")));
+  report::Json doc;
+  ASSERT_TRUE(client.recv_json(doc));
+  EXPECT_EQ(id_of(doc), "idle-max");
+  EXPECT_EQ(status_of(doc), "ok");
+  const net::NetStats stats = stop();
+  EXPECT_EQ(stats.evicted_idle, 0u);
+}
+
+TEST_F(NetServerTest, AnswersUnderAnIdleBudgetWhoseNanosecondsOverflow) {
+  // 101057535928765985 ticks x 50 ms is 128 ns modulo 2^64.
+  net::NetConfig config = fast_config();
+  config.tick_ms = 50;
+  config.idle_timeout_ticks = 101057535928765985ull;
+  start(std::move(config));
+  Client client(path());
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(client.send_frame(request_payload("wide-budget")));
+  report::Json doc;
+  ASSERT_TRUE(client.recv_json(doc));
+  EXPECT_EQ(id_of(doc), "wide-budget");
+  EXPECT_EQ(status_of(doc), "ok");
+}
+
+TEST_F(NetServerTest, DrainsCleanUnderTheLargestDrainBudget) {
+  std::atomic<bool> entered{false};
+  std::atomic<bool> release{false};
+  net::NetConfig config = fast_config();
+  config.drain_timeout_ticks = UINT64_MAX;
+  config.handler = [this, &entered, &release](const service::Request& request,
+                                              std::uint64_t) {
+    entered = true;
+    while (!release.load() && core::run_check() == core::StatusCode::kOk)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return net::response_frame(service_.handle(request));
+  };
+  start(std::move(config));
+  Client client(path());
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(client.send_frame(request_payload("held")));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(8);
+  while (!entered.load() && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_TRUE(entered.load());
+  // Past tick 1, so the drain starts at a tick a wrapped budget would
+  // already have run out at; then hold the request for several more ticks.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  server().request_drain();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  release = true;
+  report::Json doc;
+  ASSERT_TRUE(client.recv_json(doc));
+  EXPECT_EQ(id_of(doc), "held");
+  EXPECT_EQ(status_of(doc), "ok");
+  const net::NetStats stats = stop();
+  EXPECT_TRUE(stats.drained_clean);
+}
+
 // ---- chaos: deterministic I/O faults ------------------------------------
 
 TEST_F(NetServerTest, ServesCorrectlyUnderShortIoEintrAndEagainFaults) {

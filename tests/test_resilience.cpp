@@ -358,7 +358,8 @@ TEST(CheckpointResume, NestedJ0SweepClaimsAtOuterGranularity) {
 
 TEST(CheckpointResume, DeadlineKillThenResumeBitIdentical) {
   parallel::set_thread_count(1);
-  const auto reference = selfconsistent::generate_design_rule_table(table_spec());
+  const auto reference =
+      selfconsistent::generate_design_rule_table(table_spec());
   parallel::set_thread_count(2);
   {
     RunContext ctx =

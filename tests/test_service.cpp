@@ -10,6 +10,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -285,6 +287,24 @@ TEST(Degrade, AnalyticBoundIsFeasibleAndBelowFullSolve) {
     // The bound is useful, not vacuous: within a factor ~2 of the quasi-1D
     // truth on these geometries (grid resolution + min() slack).
     EXPECT_GT(bound.j_rms.value(), 0.4 * q1d.j_rms.value()) << duty;
+  }
+}
+
+// --- deadline budget ---------------------------------------------------------
+
+// The largest budgets a caller can configure mean "no practical deadline":
+// now + budget saturates at the clock's end instead of wrapping into the
+// past, so neither answers deadline-exceeded.
+TEST(Deadline, LargestBudgetsAnswerOk) {
+  for (const std::uint64_t budget_ns :
+       {std::numeric_limits<std::uint64_t>::max(),
+        static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max())}) {
+    ServerConfig config = quiet_config();
+    config.deadline_ns = budget_ns;
+    Server server(config);
+    const Response r = server.handle(wire_request("wide-budget"));
+    EXPECT_EQ(r.status, core::StatusCode::kOk) << budget_ns;
+    EXPECT_FALSE(r.degraded) << budget_ns;
   }
 }
 
