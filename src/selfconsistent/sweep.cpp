@@ -45,9 +45,9 @@ std::vector<DutyCyclePoint> sweep_duty_cycle(
   // failed lane's exception.
   bs.throw_first_failure();
   std::vector<DutyCyclePoint> points(duty_cycles.size());
+  Problem p = base;
   for (std::size_t k = 0; k < points.size(); ++k) {
     const double r = duty_cycles[k];
-    Problem p = base;
     p.duty_cycle = r;
     DutyCyclePoint& pt = points[k];
     pt.duty_cycle = r;
