@@ -260,6 +260,12 @@ LadderProblem build_problem(const Request& r) {
   LadderProblem lp;
   const units::CurrentDensity j0 = MA_per_cm2(r.j0_MA_cm2);
   const units::Kelvin t_ref = celsius_to_kelvin(r.t_ref_c);
+  // The reply's EM-only line is j0 / r (selfconsistent::jpeak_em_only); a
+  // duty cycle small enough to overflow it has no finite answer to send.
+  if (r.kind == RequestKind::kDutyCyclePoint &&
+      !std::isfinite((j0 / r.duty_cycle).value()))
+    bad_request("duty_cycle is too small: the EM-only peak "
+                "j0_MA_cm2 / duty_cycle overflows");
 
   if (r.kind == RequestKind::kTableCell) {
     const tech::Technology technology = technology_by_name(r.technology);

@@ -368,6 +368,15 @@ inline Replies reply_corpus() {
     out.emplace_back("refused/invalid-input",
                      corpus::bytes(server.handle(bad, 0)));
   }
+  {
+    // The EM-only line j0/r of this duty-cycle point overflows: refused
+    // before any kernel runs, never answered with +inf.
+    service::Server server(corpus::quiet());
+    service::Request tiny = corpus::wire("tiny-duty", 5e-324);
+    tiny.kind = service::RequestKind::kDutyCyclePoint;
+    out.emplace_back("refused/tiny-duty",
+                     corpus::bytes(server.handle(tiny, 0)));
+  }
   out.emplace_back("supervise/quarantine", quarantined);
   return out;
 }
