@@ -121,8 +121,11 @@ void run_block(std::size_t begin, std::size_t end, F& body, FirstError& err) {
 template <typename F>
 void parallel_for(std::size_t n, F&& body) {
   if (n == 0) return;
-  const std::size_t workers = thread_count();
-  if (workers <= 1 || n == 1 || on_worker_thread() || in_parallel_region()) {
+  // Nesting first: an inner region never needs the thread count.
+  const std::size_t workers =
+      n == 1 || on_worker_thread() || in_parallel_region() ? 1
+                                                           : thread_count();
+  if (workers <= 1) {
     // Serial path: identical iteration order, natural exception flow, same
     // between-item interruption points as the parallel blocks.
     for (std::size_t i = 0; i < n; ++i) {

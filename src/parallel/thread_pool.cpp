@@ -112,21 +112,30 @@ class Pool {
                                       // never touch the vector itself
 };
 
-// The global pool and its configuration. `g_override` of 0 means "use the
-// environment/hardware default". Guarded by g_config_mu; the pool pointer
-// only changes while no parallel region is active (set_thread_count's
-// contract), so tasks never observe a pool being torn down under them.
+// The global pool and its configuration. The pool pointer is guarded by
+// g_config_mu and only changes while no parallel region is active
+// (set_thread_count's contract), so tasks never observe a pool being torn
+// down under them. The thread count is resolved once — at first use, or
+// by set_thread_count — and read lock-free after that: resolving costs a
+// getenv and, without DSMT_THREADS, a CPU count that glibc reads from
+// /sys, several microseconds that every pool submission and every solve
+// would otherwise pay.
 Mutex g_config_mu;  // NOLINT(cert-err58-cpp)
-std::size_t g_override DSMT_GUARDED_BY(g_config_mu) = 0;
 Pool* g_pool DSMT_GUARDED_BY(g_config_mu) = nullptr;
+std::atomic<std::size_t> g_count{0};  // 0 = not resolved yet
 
-std::size_t desired_count() DSMT_REQUIRES(g_config_mu) {
-  return g_override > 0 ? g_override : env_thread_count();
+/// The configured count, resolving the default on first use.
+std::size_t resolved_count() {
+  const std::size_t n = g_count.load();
+  if (n != 0) return n;
+  MutexLock lock(g_config_mu);
+  if (g_count.load() == 0) g_count.store(env_thread_count());
+  return g_count.load();
 }
 
 Pool& pool() DSMT_EXCLUDES(g_config_mu) {
+  const std::size_t want = resolved_count();
   MutexLock lock(g_config_mu);
-  const std::size_t want = desired_count();
   if (g_pool == nullptr || g_pool->size() != want) {
     delete g_pool;
     g_pool = nullptr;  // keep the pointer sane if Pool's ctor throws
@@ -137,14 +146,11 @@ Pool& pool() DSMT_EXCLUDES(g_config_mu) {
 
 }  // namespace
 
-std::size_t thread_count() {
-  MutexLock lock(g_config_mu);
-  return desired_count();
-}
+std::size_t thread_count() { return resolved_count(); }
 
 void set_thread_count(std::size_t n) {
   MutexLock lock(g_config_mu);
-  g_override = n;
+  g_count.store(n > 0 ? n : env_thread_count());
   // The pool is rebuilt lazily on next use; deleting here while idle keeps
   // stale workers from outliving a test that shrank the count.
   delete g_pool;

@@ -6,11 +6,13 @@
 // determinism guarantee. The pool itself is a plain task queue — it knows
 // nothing about partitioning or ordering.
 //
-// Sizing: the global pool is built lazily on first use with
-// `configured_thread_count()` threads — the `DSMT_THREADS` environment
-// variable when set (clamped to [1, 256]), otherwise
-// std::thread::hardware_concurrency(). Tests and benches may override at
-// runtime with set_thread_count(); the pool is rebuilt when idle.
+// Sizing: the global pool is built lazily on first use with thread_count()
+// threads — the `DSMT_THREADS` environment variable when set (clamped to
+// [1, 256]), otherwise std::thread::hardware_concurrency(). The count is
+// resolved once, at first use, and read from an atomic after that; the
+// environment is read again only when set_thread_count() configures the
+// pool. Tests and benches may override at runtime with set_thread_count();
+// the pool is rebuilt when idle.
 #pragma once
 
 #include <cstddef>
@@ -20,13 +22,14 @@
 namespace dsmt::parallel {
 
 /// Thread count the global pool uses: the explicit set_thread_count()
-/// override if one is active, else DSMT_THREADS, else hardware concurrency.
-/// Always >= 1.
+/// override if one is active, else DSMT_THREADS, else hardware concurrency,
+/// as resolved at first use or at the last set_thread_count(). Always >= 1.
+/// Lock-free once resolved.
 std::size_t thread_count();
 
 /// Overrides the global pool size (rebuilding the pool on next use), or
-/// restores the DSMT_THREADS/hardware default when n == 0. Must not be
-/// called from inside a parallel region.
+/// restores the DSMT_THREADS/hardware default when n == 0, reading the
+/// environment now. Must not be called from inside a parallel region.
 void set_thread_count(std::size_t n);
 
 /// True on a pool worker thread. parallel_for uses this to run nested

@@ -4,7 +4,9 @@
 // SolverDiag chain intact — parallelization changes wall-clock, nothing else.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/engine.h"
@@ -241,6 +243,26 @@ TEST(ParallelDeterminism, ThreadCountEnvAndOverride) {
   EXPECT_EQ(parallel::thread_count(), 5u);
   ::unsetenv("DSMT_THREADS");
   EXPECT_GE(parallel::thread_count(), 1u);
+}
+
+TEST(ParallelDeterminism, ThreadCountReadsEnvironmentOnlyAtConfiguration) {
+  // The count is resolved when the pool is configured and read lock-free
+  // after that: a later change to the environment is seen only by the next
+  // set_thread_count().
+  const char* saved = std::getenv("DSMT_THREADS");
+  const std::string restore = saved != nullptr ? saved : "";
+  ::setenv("DSMT_THREADS", "3", 1);
+  parallel::set_thread_count(0);
+  EXPECT_EQ(parallel::thread_count(), 3u);
+  ::setenv("DSMT_THREADS", "6", 1);
+  EXPECT_EQ(parallel::thread_count(), 3u);
+  parallel::set_thread_count(0);
+  EXPECT_EQ(parallel::thread_count(), 6u);
+  if (saved != nullptr)
+    ::setenv("DSMT_THREADS", restore.c_str(), 1);
+  else
+    ::unsetenv("DSMT_THREADS");
+  parallel::set_thread_count(0);
 }
 
 TEST(ParallelDeterminism, ParallelForCoversEveryIndexOnce) {
