@@ -8,6 +8,10 @@
 //   {"responses": [...one structured response per request, in order...],
 //    "service":   {...admission and outcome counters, cache...}}
 //
+// The whole document is parsed first (a malformed one exits 2 before any
+// output); then the replies are solved and written in chunks of
+// service::kBatchChunk, so memory holds the decoded requests plus one chunk.
+//
 // Socket mode (--listen PATH or --tcp PORT): runs the hardened socket
 // front end (dsmt::net::Server) speaking DSM1-framed request/response JSON
 // until SIGTERM/SIGINT, then drains gracefully — stop accepting, finish or
@@ -57,6 +61,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <system_error>
 #include <vector>
 
@@ -160,29 +165,25 @@ int run_batch(const std::map<std::string, std::string>& opts,
               const service::ServerConfig& config, bool strict, int indent) {
   const auto batch_it = opts.find("batch");
   const std::string path = batch_it != opts.end() ? batch_it->second : "-";
-  std::string text;
-  if (!read_all(path, text)) {
-    print_error("cannot read batch '" + path + "'");
-    return 2;
-  }
+  std::vector<service::Request> batch;
+  {
+    std::string text;
+    if (!read_all(path, text)) {
+      print_error("cannot read batch '" + path + "'");
+      return 2;
+    }
+    batch = service::parse_batch(text);
+  }  // the input text is freed before the first solve
 
-  const std::vector<service::Request> batch = service::parse_batch(text);
   service::Server server(config);
-  const std::vector<service::Response> responses = server.submit_batch(batch);
-
-  int failures = 0;
-  report::Json responses_json = report::Json::array();
-  for (const service::Response& resp : responses) {
-    if (!resp.ok()) ++failures;
-    responses_json.push(service::response_to_json(resp));
-  }
-  report::Json root = report::Json::object();
-  root.set("responses", std::move(responses_json));
-  root.set("service", server.service_json());
-  std::printf("%s\n", root.dump(indent).c_str());
+  const std::size_t failures = service::write_batch_document(
+      server, batch, indent, [](std::string_view bytes) {
+        std::fwrite(bytes.data(), 1, bytes.size(), stdout);
+      });
+  std::fputc('\n', stdout);
   if (strict && failures > 0) {
     print_error("--strict: " + std::to_string(failures) + " of " +
-                std::to_string(responses.size()) +
+                std::to_string(batch.size()) +
                 " responses carry a failure status");
     return 1;
   }

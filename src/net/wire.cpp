@@ -6,6 +6,13 @@
 
 namespace dsmt::net {
 
+namespace {
+
+/// Largest reply scratch buffer a thread keeps between replies [bytes].
+constexpr std::size_t kScratchKeepBytes = std::size_t{64} << 10;
+
+}  // namespace
+
 std::string encode_frame(const std::string& payload) {
   const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
   std::string frame;
@@ -20,7 +27,16 @@ std::string encode_frame(const std::string& payload) {
 }
 
 std::string response_frame(const service::Response& response) {
-  return encode_frame(service::response_to_json(response).dump(-1));
+  // The payload goes to a per-thread scratch buffer, so the frame is
+  // allocated once at its exact size: frames queue per connection, and a
+  // string grown in place would hold up to twice its bytes.
+  thread_local std::string payload;
+  payload.clear();
+  service::write_response(payload, response, -1);
+  std::string frame = encode_frame(payload);
+  // One outsized reply must not pin its buffer for the thread's lifetime.
+  if (payload.capacity() > kScratchKeepBytes) std::string().swap(payload);
+  return frame;
 }
 
 FrameDecoder::FrameDecoder(std::size_t max_frame_bytes)

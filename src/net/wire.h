@@ -57,8 +57,9 @@ enum class FrameStatus {
 /// any size cap; encoding itself is total for payloads < 2^32 bytes.
 std::string encode_frame(const std::string& payload);
 
-/// The one encoder of a reply, on a socket or the supervision channel:
-/// encode_frame of service::response_to_json(response), dumped compact.
+/// The one encoder of a reply, on a socket or the supervision channel: the
+/// frame of service::write_response(response) at compact indent. No tree
+/// is built, and the frame is allocated once, at its exact size.
 std::string response_frame(const service::Response& response);
 
 /// Incremental frame decoder for one connection's inbound byte stream.

@@ -23,6 +23,27 @@ Json diag_to_json(const core::SolverDiag& diag) {
   return root;
 }
 
+void write_diag(JsonWriter& writer, const core::SolverDiag& diag) {
+  writer.begin_object()
+      .key("kernel").string(diag.kernel)
+      .key("status").string(core::status_name(diag.status))
+      .key("iterations").integer(diag.iterations)
+      .key("residual").number_or_null(diag.residual)
+      .key("recovered").boolean(diag.recovered)
+      .key("chain").begin_array();
+  for (const auto& ev : diag.chain) {
+    writer.item()
+        .begin_object()
+        .key("kernel").string(ev.kernel)
+        .key("status").string(core::status_name(ev.status))
+        .key("iterations").integer(ev.iterations)
+        .key("residual").number_or_null(ev.residual);
+    if (!ev.note.empty()) writer.key("note").string(ev.note);
+    writer.end_object();
+  }
+  writer.end_array().end_object();
+}
+
 Json run_to_json(const core::RunContext& context) {
   Json run = Json::object();
   run.set("deadline_armed", Json::boolean(context.has_deadline()));

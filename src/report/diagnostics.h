@@ -15,6 +15,10 @@ namespace dsmt::report {
 /// attempt/recovery event, in order.
 Json diag_to_json(const core::SolverDiag& diag);
 
+/// Writes the same chain without a tree: the bytes of
+/// writer.value(diag_to_json(diag)).
+void write_diag(JsonWriter& writer, const core::SolverDiag& diag);
+
 /// Serializes the run's resilience state: deadline arming and remaining
 /// budget [s], cancellation flag, and heartbeat count. This is what lands
 /// under the sign-off report's "run" key.

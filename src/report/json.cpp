@@ -1,6 +1,7 @@
 #include "report/json.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -17,6 +18,15 @@ namespace {
   core::SolverDiag diag;
   diag.record(kernel, status, 0, 0.0, what);
   throw SolveError("report/json: " + what, diag);
+}
+
+/// The one rejection of a non-finite payload number, whether it meets
+/// Json::number() or JsonWriter::number().
+void require_finite(double value) {
+  if (!std::isfinite(value))
+    throw_json_error("report/json", "non-finite number in payload "
+                     "(use number_or_null for diagnostic fields)",
+                     core::StatusCode::kNonFinite);
 }
 
 }  // namespace
@@ -38,10 +48,7 @@ Json Json::string(std::string value) {
   return j;
 }
 Json Json::number(double value) {
-  if (!std::isfinite(value))
-    throw_json_error("report/json", "non-finite number in payload "
-                     "(use number_or_null for diagnostic fields)",
-                     core::StatusCode::kNonFinite);
+  require_finite(value);
   Json j;
   j.kind_ = Kind::kNumber;
   j.num_ = value;
@@ -149,33 +156,6 @@ Json& Json::push(Json value) {
 }
 
 namespace {
-void escape_into(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-void newline_indent(std::string& out, int indent, int depth) {
-  if (indent < 0) return;
-  out += '\n';
-  out.append(static_cast<std::size_t>(indent) * depth, ' ');
-}
 
 /// Recursive-descent JSON parser. Strict: one document, no trailing bytes,
 /// nesting bounded so a deep adversarial input cannot blow the stack.
@@ -437,77 +417,162 @@ Json Json::parse(const std::string& text) {
   return Parser(text).parse_document();
 }
 
-void Json::dump_to(std::string& out, int indent, int depth) const {
+void Json::write_to(JsonWriter& writer) const {
   switch (kind_) {
     case Kind::kString:
-      escape_into(out, str_);
+      writer.string(str_);
       break;
-    case Kind::kNumber: {
-      // number() rejects non-finite at construction; this is the backstop
-      // for default-constructed corruption, honoring the same policy.
-      if (!std::isfinite(num_))
-        throw_json_error("report/json", "non-finite number reached dump",
-                         core::StatusCode::kNonFinite);
-      char buf[40];
-      std::snprintf(buf, sizeof buf, "%.10g", num_);
-      out += buf;
+    case Kind::kNumber:
+      writer.number(num_);
       break;
-    }
-    case Kind::kInteger: {
-      char buf[32];
-      std::snprintf(buf, sizeof buf, "%lld", int_);
-      out += buf;
+    case Kind::kInteger:
+      writer.integer(int_);
       break;
-    }
     case Kind::kBool:
-      out += bool_ ? "true" : "false";
+      writer.boolean(bool_);
       break;
     case Kind::kNull:
-      out += "null";
+      writer.null();
       break;
-    case Kind::kObject: {
-      if (members_.empty()) {
-        out += "{}";
-        break;
-      }
-      out += '{';
-      bool first = true;
+    case Kind::kObject:
+      writer.begin_object();
       for (const auto& [k, v] : members_) {
-        if (!first) out += ',';
-        first = false;
-        newline_indent(out, indent, depth + 1);
-        escape_into(out, k);
-        out += indent < 0 ? ":" : ": ";
-        v.dump_to(out, indent, depth + 1);
+        writer.key(k);
+        v.write_to(writer);
       }
-      newline_indent(out, indent, depth);
-      out += '}';
+      writer.end_object();
       break;
-    }
-    case Kind::kArray: {
-      if (items_.empty()) {
-        out += "[]";
-        break;
-      }
-      out += '[';
-      bool first = true;
+    case Kind::kArray:
+      writer.begin_array();
       for (const auto& v : items_) {
-        if (!first) out += ',';
-        first = false;
-        newline_indent(out, indent, depth + 1);
-        v.dump_to(out, indent, depth + 1);
+        writer.item();
+        v.write_to(writer);
       }
-      newline_indent(out, indent, depth);
-      out += ']';
+      writer.end_array();
       break;
-    }
   }
 }
 
 std::string Json::dump(int indent) const {
   std::string out;
-  dump_to(out, indent, 0);
+  JsonWriter writer(out, indent);
+  write_to(writer);
   return out;
+}
+
+JsonWriter& JsonWriter::enter(char bracket) {
+  out_ += bracket;
+  ++depth_;
+  first_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::leave(char bracket) {
+  --depth_;
+  if (!first_) newline();  // an empty container closes on its own line
+  out_ += bracket;
+  first_ = false;  // the parent now holds this container
+  return *this;
+}
+
+void JsonWriter::newline() {
+  if (indent_ < 0) return;
+  out_ += '\n';
+  out_.append(static_cast<std::size_t>(indent_) * depth_, ' ');
+}
+
+JsonWriter& JsonWriter::key(std::string_view name) {
+  item();
+  string(name);
+  if (indent_ < 0)
+    out_ += ':';
+  else
+    out_.append(": ", 2);
+  return *this;
+}
+
+JsonWriter& JsonWriter::item() {
+  if (!first_) out_ += ',';
+  first_ = false;
+  newline();
+  return *this;
+}
+
+JsonWriter& JsonWriter::string(std::string_view value) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out_ += '"';
+  // Append clean runs whole; only quotes, backslashes and control bytes
+  // are rewritten (bytes >= 0x20, UTF-8 included, pass through).
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < value.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(value[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out_.append(value.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"': out_.append("\\\"", 2); break;
+      case '\\': out_.append("\\\\", 2); break;
+      case '\n': out_.append("\\n", 2); break;
+      case '\t': out_.append("\\t", 2); break;
+      case '\r': out_.append("\\r", 2); break;
+      default: {
+        const char escape[6] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                                kHex[c & 0xF]};
+        out_.append(escape, sizeof escape);
+      }
+    }
+  }
+  out_.append(value.data() + run, value.size() - run);
+  out_ += '"';
+  return *this;
+}
+
+JsonWriter& JsonWriter::number(double value) {
+  require_finite(value);
+  // %.10g prints an integral |v| < 1e10 as its digits alone, which the
+  // table-free integer conversion reproduces exactly; -0 keeps its sign
+  // under %.10g, so it takes the general path. Everything else stays on
+  // snprintf: std::to_chars for doubles pulls in tables whose pages cost
+  // the socket server measurable resident memory (DESIGN.md §18).
+  if (std::fabs(value) < 1e10) {
+    const long long whole = static_cast<long long>(value);
+    if (static_cast<double>(whole) == value &&
+        (whole != 0 || !std::signbit(value)))
+      return integer(whole);
+  }
+  char buf[32];
+  const int n = std::snprintf(buf, sizeof buf, "%.10g", value);
+  out_.append(buf, static_cast<std::size_t>(n));
+  return *this;
+}
+
+JsonWriter& JsonWriter::number_or_null(double value) {
+  return std::isfinite(value) ? number(value) : null();
+}
+
+JsonWriter& JsonWriter::integer(long long value) {
+  char buf[24];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof buf, value);
+  out_.append(buf, static_cast<std::size_t>(r.ptr - buf));
+  return *this;
+}
+
+JsonWriter& JsonWriter::boolean(bool value) {
+  if (value)
+    out_.append("true", 4);
+  else
+    out_.append("false", 5);
+  return *this;
+}
+
+JsonWriter& JsonWriter::null() {
+  out_.append("null", 4);
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(const Json& tree) {
+  tree.write_to(*this);
+  return *this;
 }
 
 }  // namespace dsmt::report

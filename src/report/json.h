@@ -10,6 +10,11 @@
 // null) for diagnostic fields where NaN is a legitimate observation (e.g. a
 // fault-injected residual).
 //
+// JsonWriter appends the same bytes without building a tree, for documents
+// too large or too hot to materialize (service::write_response, the
+// streamed batch document). Json::dump is JsonWriter walking the tree, so
+// the library has one escaper, one number formatter and one indenter.
+//
 // Reading (Json::parse) is a strict recursive-descent parser with a depth
 // bound; malformed input raises dsmt::SolveError (kInvalidInput) carrying
 // the byte offset. parse(dump(x)) round-trips every tree the builder can
@@ -19,10 +24,13 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace dsmt::report {
+
+class JsonWriter;
 
 /// A JSON value tree.
 class Json {
@@ -100,7 +108,51 @@ class Json {
   std::vector<std::pair<std::string, Json>> members_;
   std::vector<Json> items_;
 
-  void dump_to(std::string& out, int indent, int depth) const;
+  friend class JsonWriter;
+  void write_to(JsonWriter& writer) const;
+};
+
+/// Appends JSON text to a caller's string without building a tree. The
+/// bytes equal Json::dump(indent) of the same tree nested `depth` levels
+/// deep. Open and close containers in order; name each object member with
+/// key() and announce each array element with item() before its value.
+/// number() throws exactly what Json::number() throws for NaN/Inf, after
+/// appending nothing for that value.
+class JsonWriter {
+ public:
+  /// `indent` < 0 means compact.
+  JsonWriter(std::string& out, int indent, int depth = 0)
+      : out_(out), indent_(indent), depth_(depth) {}
+
+  JsonWriter& begin_object() { return enter('{'); }
+  JsonWriter& end_object() { return leave('}'); }
+  JsonWriter& begin_array() { return enter('['); }
+  JsonWriter& end_array() { return leave(']'); }
+  /// Member separator, line break and `"name": ` of the next member.
+  JsonWriter& key(std::string_view name);
+  /// Element separator and line break of the next array element.
+  JsonWriter& item();
+
+  JsonWriter& string(std::string_view value);
+  /// value [1]: `%.10g`; throws dsmt::SolveError (kNonFinite) on NaN/Inf.
+  JsonWriter& number(double value);
+  /// value [1]: like number(), but writes null for NaN/Inf.
+  JsonWriter& number_or_null(double value);
+  JsonWriter& integer(long long value);
+  JsonWriter& boolean(bool value);
+  JsonWriter& null();
+  /// A whole tree, nested at the current depth.
+  JsonWriter& value(const Json& tree);
+
+ private:
+  JsonWriter& enter(char bracket);
+  JsonWriter& leave(char bracket);
+  void newline();
+
+  std::string& out_;
+  const int indent_;
+  int depth_;          // indentation level of the next line break
+  bool first_ = true;  // the innermost open container is still empty
 };
 
 }  // namespace dsmt::report

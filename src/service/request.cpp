@@ -196,6 +196,43 @@ report::Json response_to_json(const Response& resp) {
   return node;
 }
 
+void write_response(std::string& out, const Response& resp, int indent,
+                    int depth) {
+  const std::size_t mark = out.size();
+  try {
+    report::JsonWriter w(out, indent, depth);
+    w.begin_object()
+        .key("id").string(resp.id)
+        .key("kind").string(kind_name(resp.kind))
+        .key("status").string(core::status_name(resp.status))
+        .key("degraded").boolean(resp.degraded)
+        .key("degradation_level")
+        .integer(static_cast<long long>(resp.degradation_level))
+        .key("conservative").boolean(resp.conservative)
+        .key("attempts").integer(resp.attempts)
+        .key("backoff_ns").begin_array().end_array();
+    if (resp.ok()) {
+      w.key("solution").begin_object()
+          .key("t_metal_c").number(resp.t_metal_c)
+          .key("delta_t_c").number(resp.delta_t_c)
+          .key("j_peak_MA_cm2").number(resp.j_peak_MA_cm2)
+          .key("j_rms_MA_cm2").number(resp.j_rms_MA_cm2)
+          .key("j_avg_MA_cm2").number(resp.j_avg_MA_cm2);
+      if (resp.kind == RequestKind::kDutyCyclePoint)
+        w.key("jpeak_em_only_MA_cm2").number(resp.jpeak_em_only_MA_cm2);
+      w.end_object();
+    } else {
+      w.key("error").string(resp.error);
+    }
+    w.key("diag");
+    report::write_diag(w, resp.diag);
+    w.end_object();
+  } catch (...) {
+    out.resize(mark);
+    throw;
+  }
+}
+
 Response failure_response(const Request& request, core::StatusCode status,
                           const std::string& where, std::string error,
                           std::string note) {

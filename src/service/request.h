@@ -104,7 +104,19 @@ struct Response {
 Request request_from_json(const report::Json& node);
 
 report::Json request_to_json(const Request& request);
+
+/// The reply as a tree. Nothing outside src/service/ calls it (lint R15):
+/// it is the oracle write_response is tested against.
 report::Json response_to_json(const Response& response);
+
+/// Appends the reply's bytes to `out`: exactly
+/// response_to_json(response).dump(indent) re-indented as if nested
+/// `depth` levels deep, built without a tree. The one writer of reply
+/// bytes (net::response_frame and the batch document call it). For a
+/// non-finite payload number it throws what response_to_json throws and
+/// leaves `out` as it was.
+void write_response(std::string& out, const Response& response, int indent,
+                    int depth = 0);
 
 /// The one constructor of failure replies. Echoes the request's id and
 /// kind, sets `status` and `error`, and records one diag event at `where`

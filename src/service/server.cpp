@@ -1,5 +1,6 @@
 #include "service/server.h"
 
+#include <algorithm>
 #include <exception>
 #include <new>
 #include <optional>
@@ -39,51 +40,67 @@ Server::~Server() {
   if (config_.publish_signoff) core::clear_signoff_service_source(this);
 }
 
-std::vector<Response> Server::submit_batch(
-    const std::vector<Request>& batch) {
+void Server::serve_batch(const std::vector<Request>& batch,
+                         const ReplySink& sink) {
   received_ += batch.size();
   const std::size_t capacity =
       config_.queue_capacity > 0 ? config_.queue_capacity : 1;
 
   // Admission first, serially, in index order: the burst either fits in the
   // bounded queue or is shed. No thread ever influences the decision, so
-  // identical batches admit identically at every DSMT_THREADS value.
-  std::vector<std::size_t> admitted;
-  admitted.reserve(batch.size() < capacity ? batch.size() : capacity);
-  std::vector<Response> out(batch.size());
-  std::vector<char> served(batch.size(), 0);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (admitted.size() < capacity) {
-      admitted.push_back(i);
-    } else {
-      out[i] = failure_response(
-          batch[i], core::StatusCode::kRejectedOverload, "service/admission",
-          "shed at admission: burst exceeded queue capacity " +
-              std::to_string(config_.queue_capacity));
-      served[i] = 1;
-      ++shed_;
-    }
-  }
-  admitted_ += admitted.size();
+  // identical batches admit identically at every DSMT_THREADS value. In
+  // index order, the admitted requests are the prefix [0, admitted).
+  const std::size_t admitted = std::min(batch.size(), capacity);
+  admitted_ += admitted;
+  shed_ += batch.size() - admitted;
 
-  try {
-    parallel::parallel_for(admitted.size(), [&](std::size_t k) {
-      const std::size_t i = admitted[k];
-      out[i] = guarded_execute(batch[i]);
-      served[i] = 1;
-    });
-  } catch (const SolveError& interruption) {
-    // Only a caller-context interruption (deadline / cancel observed by
-    // parallel_for between items) reaches here: guarded_execute never
-    // throws. Stamp every unserved slot so the batch stays complete, then
-    // let the interruption propagate to the caller who armed it.
-    for (const std::size_t i : admitted) {
-      if (served[i]) continue;
-      out[i] = failure_response(batch[i], interruption);
+  const std::string shed_error =
+      "shed at admission: burst exceeded queue capacity " +
+      std::to_string(config_.queue_capacity);
+  std::vector<Response> chunk;
+  std::vector<char> served;
+  std::optional<SolveError> interruption;
+  for (std::size_t first = 0; first < batch.size(); first += kBatchChunk) {
+    const std::size_t size = std::min(kBatchChunk, batch.size() - first);
+    const std::size_t solve =
+        admitted > first ? std::min(size, admitted - first) : 0;
+    chunk.assign(size, Response{});
+    served.assign(solve, 0);
+    if (!interruption) {
+      try {
+        parallel::parallel_for(solve, [&](std::size_t k) {
+          chunk[k] = guarded_execute(batch[first + k]);
+          served[k] = 1;
+        });
+      } catch (const SolveError& e) {
+        // Only a caller-context interruption (deadline / cancel observed by
+        // parallel_for between items) reaches here: guarded_execute never
+        // throws. Every request not yet served, in this chunk and the
+        // chunks after it, is answered with it before it propagates.
+        interruption = e;
+      }
+    }
+    for (std::size_t k = 0; k < solve; ++k) {
+      if (served[k]) continue;
+      chunk[k] = failure_response(batch[first + k], *interruption);
       ++failed_;
     }
-    throw;
+    for (std::size_t k = solve; k < size; ++k)
+      chunk[k] = failure_response(batch[first + k],
+                                  core::StatusCode::kRejectedOverload,
+                                  "service/admission", shed_error);
+    sink(chunk);
   }
+  if (interruption) throw *interruption;
+}
+
+std::vector<Response> Server::submit_batch(
+    const std::vector<Request>& batch) {
+  std::vector<Response> out;
+  out.reserve(batch.size());
+  serve_batch(batch, [&out](std::span<Response> replies) {
+    for (Response& reply : replies) out.push_back(std::move(reply));
+  });
   return out;
 }
 
@@ -266,6 +283,30 @@ report::Json Server::service_json() const {
     root.set("cache", std::move(cache));
   }
   return root;
+}
+
+std::size_t write_batch_document(
+    Server& server, const std::vector<Request>& batch, int indent,
+    const std::function<void(std::string_view bytes)>& emit) {
+  // The replies sit at depth 2: document object, "responses" array, reply.
+  constexpr int kReplyDepth = 2;
+  std::string bytes;
+  report::JsonWriter document(bytes, indent);
+  document.begin_object().key("responses").begin_array();
+  std::size_t failures = 0;
+  server.serve_batch(batch, [&](std::span<Response> replies) {
+    for (const Response& reply : replies) {
+      if (!reply.ok()) ++failures;
+      document.item();
+      write_response(bytes, reply, indent, kReplyDepth);
+    }
+    emit(bytes);
+    bytes.clear();
+  });
+  document.end_array().key("service").value(server.service_json());
+  document.end_object();
+  emit(bytes);
+  return failures;
 }
 
 }  // namespace dsmt::service

@@ -33,14 +33,22 @@
 // failed, degraded — yields exactly one terminal Response. With fault
 // injection disarmed the full batch output is bit-identical for every
 // DSMT_THREADS value (admission is serial, the solve is deterministic, and
-// parallel_map is index-addressed).
+// replies are index-addressed).
+//
+// A batch is served in chunks of kBatchChunk requests: admission decides
+// the whole burst first, then each chunk is solved in parallel and handed
+// to a sink in index order, so a caller that writes each chunk out holds
+// one chunk of replies at a time (write_batch_document).
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cache/solve_cache.h"
@@ -75,6 +83,15 @@ struct ServerMetrics {
   std::uint64_t failed = 0;     ///< terminal non-kOk responses
 };
 
+/// Requests solved per parallel region of a batch: the replies a batch
+/// holds at once. Large enough that the join at each chunk's end is noise
+/// next to the chunk's solves, small enough that a chunk's replies and
+/// their bytes stay a few MiB.
+inline constexpr std::size_t kBatchChunk = 4096;
+
+/// Receives consecutive replies of a batch, in index order.
+using ReplySink = std::function<void(std::span<Response> replies)>;
+
 class Server {
  public:
   explicit Server(ServerConfig config = {});
@@ -82,10 +99,16 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Serves one burst: exactly one terminal Response per request, in
-  /// request order. Never throws for per-request failures; propagates only
-  /// a caller-context interruption after stamping every unserved slot with
-  /// that interruption status — even then the returned vector is complete.
+  /// Serves one burst: exactly one terminal Response per request, handed
+  /// to `sink` in request order, at most kBatchChunk at a time. Admission
+  /// covers the whole burst before any solve. Never throws for
+  /// per-request failures. A caller-context interruption (deadline or
+  /// cancel) propagates only after every remaining request has reached the
+  /// sink, stamped with that interruption status (shed ones keep their
+  /// shed reply). An exception from the sink propagates at once.
+  void serve_batch(const std::vector<Request>& batch, const ReplySink& sink);
+
+  /// serve_batch with a sink that collects every reply, in request order.
   std::vector<Response> submit_batch(const std::vector<Request>& batch);
 
   /// Serves one request, bypassing admission (it always "fits"). `index`
@@ -111,5 +134,17 @@ class Server {
   std::atomic<std::uint64_t> ok_analytic_{0};
   std::atomic<std::uint64_t> failed_{0};
 };
+
+/// Serves `batch` on `server` and writes the batch document
+///   {"responses": [...one reply per request...], "service": {...}}
+/// at `indent`: the bytes a report::Json tree of that document dumps to,
+/// with server.service_json() taken after the last reply. The bytes go to
+/// `emit` in pieces, one per chunk of replies, so no tree and no whole
+/// document is ever held. Returns how many replies carry a failure status.
+/// An exception (from `emit`, or a batch interruption) leaves the
+/// document unfinished.
+std::size_t write_batch_document(
+    Server& server, const std::vector<Request>& batch, int indent,
+    const std::function<void(std::string_view bytes)>& emit);
 
 }  // namespace dsmt::service

@@ -246,8 +246,9 @@ inline std::vector<GoldenCase> all_cases() {
 //
 // Reply bytes are the service's behavioural contract, so they are pinned
 // exactly, with no tolerance: one reply payload (the DSM1 frame body,
-// response_to_json(...).dump(-1)) per ladder outcome and typed refusal. A
-// diff of the committed file is exactly what a change did to the wire.
+// service::write_response at compact indent) per ladder outcome and typed
+// refusal. A diff of the committed file is exactly what a change did to
+// the wire.
 
 /// (case name, reply payload bytes), in file order.
 using Replies = std::vector<std::pair<std::string, std::string>>;
@@ -279,8 +280,16 @@ inline numeric::fault::FaultPlan dead_solver() {
   return {numeric::fault::FaultKind::kNanResidual, "numeric/b", 1, 0.0, ""};
 }
 
+/// The reply's payload as service::write_response writes it, checked
+/// against the tree-built oracle: a disagreement is written into the bytes,
+/// so the corpus comparison reports it by case name.
 inline std::string bytes(const service::Response& response) {
-  return service::response_to_json(response).dump(-1);
+  std::string written;
+  service::write_response(written, response, -1);
+  const std::string oracle = service::response_to_json(response).dump(-1);
+  return written == oracle ? written
+                           : "write_response " + written +
+                                 " differs from response_to_json " + oracle;
 }
 
 /// The parent-side answer to a request whose hash crashed two workers.

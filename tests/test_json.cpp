@@ -1,7 +1,11 @@
 // JSON writer/parser and sign-off serialization tests.
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -165,6 +169,54 @@ TEST(JsonParse, DumpParseRoundTripTree) {
     const Json back = Json::parse(root.dump(indent));
     EXPECT_EQ(back.dump(-1), root.dump(-1)) << "indent " << indent;
   }
+}
+
+TEST(Json, NumbersPrintExactlyAsSnprintf) {
+  // Json::dump formats a double through JsonWriter::number, whose integral
+  // fast path must be invisible: %.10g is the contract. Seeded draws over
+  // random bit patterns, scaled mantissas, integers across +-1e10, and the
+  // fast path's edges with their neighbours.
+  std::uint64_t state = 0x5eed;
+  const auto next = [&state] {
+    std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  };
+  const double edges[] = {0.0,    -0.0,   5e-324, DBL_MIN, DBL_MAX, 1e10 - 1,
+                          1e10,   -1e10,  -(1e10 - 1), 9007199254740992.0,
+                          9.9999999995e9, 0.5, 1e-300, 1e300};
+  constexpr int kDraws = 1000000;
+  int differing = 0;
+  char want[40];
+  for (int i = 0; i < kDraws; ++i) {
+    const std::uint64_t bits = next();
+    double v = 0.0;
+    switch (bits % 4) {
+      case 0:
+        std::memcpy(&v, &bits, sizeof v);
+        if (!std::isfinite(v)) v = static_cast<double>(bits >> 12);
+        break;
+      case 1:
+        v = static_cast<double>(static_cast<std::int64_t>(next() % 20000000001ULL) -
+                                10000000000LL);
+        break;
+      case 2:
+        v = (static_cast<double>(next() >> 11) * 0x1p-53 - 0.5) *
+            std::pow(10.0, static_cast<double>(next() % 40) - 20.0);
+        break;
+      default: {
+        const double e = edges[next() % (sizeof edges / sizeof edges[0])];
+        v = std::nextafter(e, (next() & 1) ? DBL_MAX : -DBL_MAX);
+        if (next() & 1) v = e;
+      }
+    }
+    std::snprintf(want, sizeof want, "%.10g", v);
+    if (Json::number(v).dump(-1) != want && ++differing <= 3)
+      ADD_FAILURE() << "value " << want << " dumps as "
+                    << Json::number(v).dump(-1);
+  }
+  EXPECT_EQ(differing, 0);
 }
 
 TEST(Json, StringEscaping) {

@@ -23,6 +23,7 @@
 #include <regex>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -568,6 +569,38 @@ TEST(WorkerPool, GeneratedRepliesEqualInProcessBytesAtOneAndEightThreads) {
     EXPECT_EQ(pool.stats().crashes, 0u);
   }
   parallel::set_thread_count(restore);
+}
+
+TEST(WorkerPool, TinyDutyRefusalIsTheSameBytesOnEveryPath) {
+  // At duty_cycle 5e-324 the EM-only line j0/r overflows. The request is
+  // refused as invalid input before any kernel runs, so the in-process
+  // service, a supervised worker and a batch answer it with one set of
+  // bytes, instead of each failing to encode +inf in its own way.
+  const std::vector<service::Request> batch =
+      service::parse_batch(R"([{"kind":"duty","duty_cycle":5e-324}])");
+  ASSERT_EQ(batch.size(), 1u);
+  service::ServerConfig config;
+  config.publish_signoff = false;
+  service::Server in_process(config);
+  const service::Response handled = in_process.handle(batch[0]);
+  EXPECT_EQ(handled.status, StatusCode::kInvalidInput);
+  const std::string frame = net::response_frame(handled);
+
+  WorkerPool pool(quiet_pool(1));
+  const ExecuteResult supervised = pool.execute(batch[0], 1);
+  EXPECT_EQ(supervised.status, StatusCode::kInvalidInput);
+  EXPECT_EQ(supervised.frame, frame);
+
+  service::Server batch_server(config);
+  std::string document;
+  EXPECT_EQ(service::write_batch_document(
+                batch_server, batch, -1,
+                [&document](std::string_view bytes) { document += bytes; }),
+            1u);
+  EXPECT_EQ(document.rfind("{\"responses\":[" + frame_payload(frame) + "],",
+                           0),
+            0u)
+      << document;
 }
 
 // --- crash containment -------------------------------------------------------
