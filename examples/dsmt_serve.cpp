@@ -42,13 +42,16 @@
 //   2  usage, batch-parse, or socket-setup errors (an option it does not
 //      know, a numeric value that is not a whole integer in the option's
 //      range, --isolate with --batch or with --cache-dir, unknown
-//      --crash-faults kind, or a failed initial worker fork)
+//      --crash-faults kind, or a failed initial worker fork), and output
+//      that stdout refused ("cannot write output: ..."; a batch document
+//      may then be cut short), with or without --strict
 //
 // With fault injection disarmed, batch output is bit-identical for every
 // DSMT_THREADS value, and so is each connection's reply byte stream in
 // socket mode — with or without --isolate (worker replies are forwarded
 // byte-verbatim).
 #include <algorithm>
+#include <cerrno>
 #include <charconv>
 #include <cstdint>
 #include <cstdio>
@@ -145,7 +148,8 @@ int usage(bool to_stdout = false) {
       "  1  --strict violation: terminal failure response or forced drain\n"
       "  2  usage, batch-parse, or socket-setup error (unknown option,\n"
       "     invalid numeric value, --isolate with --batch or --cache-dir,\n"
-      "     bad --crash-faults kind, failed initial worker fork)\n");
+      "     bad --crash-faults kind, failed initial worker fork), or\n"
+      "     stdout refused the output (\"cannot write output\")\n");
   return to_stdout ? 0 : 2;
 }
 
@@ -159,6 +163,24 @@ bool read_all(const std::string& path, std::string& out) {
   const bool ok = std::ferror(in) == 0;
   if (in != stdin) std::fclose(in);
   return ok;
+}
+
+/// stdout refused bytes; main reports it and exits 2.
+struct OutputError : std::runtime_error {
+  OutputError() : std::runtime_error(std::strerror(errno)) {}
+};
+
+/// Writes `bytes` to stdout; throws OutputError when they are refused.
+void write_stdout(std::string_view bytes) {
+  if (std::fwrite(bytes.data(), 1, bytes.size(), stdout) != bytes.size())
+    throw OutputError();
+}
+
+/// Flushes stdout; throws OutputError when the flush (or an earlier
+/// buffered write) failed.
+void flush_stdout() {
+  if (std::fflush(stdout) != 0 || std::ferror(stdout) != 0)
+    throw OutputError();
 }
 
 int run_batch(const std::map<std::string, std::string>& opts,
@@ -176,11 +198,10 @@ int run_batch(const std::map<std::string, std::string>& opts,
   }  // the input text is freed before the first solve
 
   service::Server server(config);
-  const std::size_t failures = service::write_batch_document(
-      server, batch, indent, [](std::string_view bytes) {
-        std::fwrite(bytes.data(), 1, bytes.size(), stdout);
-      });
-  std::fputc('\n', stdout);
+  const std::size_t failures =
+      service::write_batch_document(server, batch, indent, write_stdout);
+  write_stdout("\n");
+  flush_stdout();
   if (strict && failures > 0) {
     print_error("--strict: " + std::to_string(failures) + " of " +
                 std::to_string(batch.size()) +
@@ -265,7 +286,8 @@ int run_socket(const net::NetConfig& config, bool strict, int indent,
   report::Json root = report::Json::object();
   root.set("net", std::move(net_json));
   root.set(backend_key, backend_section());
-  std::printf("%s\n", root.dump(indent).c_str());
+  write_stdout(root.dump(indent) + "\n");
+  flush_stdout();
 
   if (!stats.drained_clean) {
     print_error("drain timed out with work in flight (forced shutdown)");
@@ -420,6 +442,9 @@ int main(int argc, char** argv) {
                    [pool_ptr] { return pool_ptr->supervise_json(); });
     pool->shutdown();
     return code;
+  } catch (const OutputError& e) {
+    print_error(std::string("cannot write output: ") + e.what());
+    return 2;
   } catch (const std::exception& e) {
     print_error(e.what());
     return 2;

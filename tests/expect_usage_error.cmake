@@ -1,12 +1,22 @@
 # Usage-error check for a command-line tool: runs PROGRAM with ARGS (one
-# space-separated string) and stdin at /dev/null, and passes only when it
-# exits 2 and its stderr contains MESSAGE.
+# space-separated string), stdin at INPUT and stdout at OUTPUT, and passes
+# only when it exits 2 and its stderr contains MESSAGE. INPUT defaults to
+# /dev/null; without OUTPUT, stdout is discarded.
 #
-#   cmake -DPROGRAM=path -DARGS="--flag value" -DMESSAGE="text" -P this.cmake
+#   cmake -DPROGRAM=path -DARGS="--flag value" -DMESSAGE="text" \
+#         [-DINPUT=file] [-DOUTPUT=file] -P this.cmake
 separate_arguments(args UNIX_COMMAND "${ARGS}")
+if(NOT DEFINED INPUT)
+  set(INPUT /dev/null)
+endif()
+if(DEFINED OUTPUT)
+  set(output_option OUTPUT_FILE "${OUTPUT}")
+else()
+  set(output_option OUTPUT_QUIET)
+endif()
 execute_process(COMMAND "${PROGRAM}" ${args}
-                INPUT_FILE /dev/null
-                OUTPUT_QUIET
+                INPUT_FILE "${INPUT}"
+                ${output_option}
                 ERROR_VARIABLE err
                 RESULT_VARIABLE code)
 if(NOT code STREQUAL "2")
