@@ -1,18 +1,24 @@
 #!/usr/bin/env python3
-"""Prints the 64-request dsmt_serve batch the CI chaos jobs share.
+"""Prints the dsmt_serve batch the CI chaos jobs share.
 
-    python3 tools/chaos_batch.py > batch.json
+    python3 tools/chaos_batch.py [--requests N] > batch.json
 
-Every fifth request is a table cell, the rest are wire solves. The wire
-duties are 0.05 + 0.01 * k as Python computes them, and json.dumps prints
-each double with the 17 significant digits that round-trip it (for example
-0.060000000000000005), so the batch is what a real full-precision client
-sends.
+N defaults to 64. Every fifth request is a table cell, the rest are wire
+solves. The wire duties are 0.05 + 0.01 * k as Python computes them, and
+json.dumps prints each double with the 17 significant digits that
+round-trip it (for example 0.060000000000000005), so the batch is what a
+real full-precision client sends.
 """
+import argparse
 import json
 
+ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+ap.add_argument("--requests", type=int, default=64,
+                help="number of requests (default 64)")
+args = ap.parse_args()
+
 reqs = []
-for i in range(64):
+for i in range(args.requests):
     if i % 5 == 3:
         reqs.append({"id": f"cell-{i}", "kind": "table-cell",
                      "technology": "NTRS-180nm-Cu",

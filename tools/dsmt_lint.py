@@ -103,17 +103,20 @@ Rules (library code under src/ only — tests/bench/examples are exempt):
                   (`forked(`, `task_kill(`), and nullary unqualified
                   declarations do not fire. tests/, tools/, and examples/
                   are exempt, like all rules.
-  R15 reply-builder  `response_to_json(` may be called only in
-                  src/service/ (the codec's home) and in net/wire.cpp, the
-                  home of net::response_frame, the one encoder of a reply.
-                  Everywhere else in src/ a reply is a service::Response
-                  (failure_response builds the failures) framed by
-                  net::response_frame, so one Response is the same bytes on
-                  every path and no front end hand-builds a reply. Member
-                  calls (`x.response_to_json(`) and longer identifiers
-                  (`my_response_to_json(`, `response_to_json_v2(`) do not
-                  fire. tests/, tools/, and examples/ are exempt, like all
-                  rules.
+  R15 reply-writer  one writer of reply bytes. `write_response(` may be
+                  called only in src/service/ (its home) and in
+                  net/wire.cpp, home of net::response_frame, which frames
+                  every socket and worker reply; `response_to_json(`, the
+                  tree-building oracle write_response is tested against,
+                  only in src/service/. Everywhere else in src/ a reply is
+                  a service::Response (failure_response builds the
+                  failures) framed by net::response_frame, so one Response
+                  is the same bytes on every path and no front end
+                  hand-builds a reply. Member calls
+                  (`x.response_to_json(`, `w->write_response(`) and longer
+                  identifiers (`my_write_response(`, `response_to_json_v2(`)
+                  do not fire. tests/, tools/, and examples/ are exempt,
+                  like all rules.
 
 Exit status 0 when clean, 1 when any violation is found.
 
@@ -331,12 +334,14 @@ CACHE_IO_EXEMPT_FILES = ("core/atomic_file.h", "core/atomic_file.cpp")
 CACHE_IO_RE = re.compile(r"\bAppendLog\b|\btruncate_file_to\b|\"DSC1\"")
 
 
-# The reply codec's callers (R15): src/service/ owns response_to_json, and
-# net/wire.cpp holds the one encoder that frames a Response. Any other
-# caller would be a second encoder, free to drift from the first.
+# The reply writer's callers (R15): src/service/ owns write_response and
+# its oracle response_to_json, and net/wire.cpp holds the one encoder that
+# frames a Response. Any other caller would be a second writer, free to
+# drift from the first.
 REPLY_CODEC_PREFIX = "service/"
 REPLY_ENCODER_HOME = "net/wire.cpp"
 RESPONSE_TO_JSON_RE = re.compile(r"(?<![\w.>])response_to_json\s*\(")
+WRITE_RESPONSE_RE = re.compile(r"(?<![\w.>])write_response\s*\(")
 
 
 # A doc line counts as carrying a unit tag when it contains [...] with a
@@ -595,18 +600,26 @@ def lint_file(path: pathlib.Path, rel: str, errors: list):
                               f"so recovery and checksum policy are written "
                               f"once")
 
-    # R15: one reply encoder. response_to_json is called only by the
-    # service (its home) and by net::response_frame in net/wire.cpp.
-    if not rel.startswith(REPLY_CODEC_PREFIX) and rel != REPLY_ENCODER_HOME:
+    # R15: one reply writer. write_response is called only by the service
+    # (its home) and by net::response_frame in net/wire.cpp; its oracle
+    # response_to_json only by the service.
+    if not rel.startswith(REPLY_CODEC_PREFIX):
+        writer_allowed = rel == REPLY_ENCODER_HOME
         for i, raw in enumerate(lines):
             line = strip_comments(raw)
             if RESPONSE_TO_JSON_RE.search(line):
-                errors.append(f"{rel}:{i + 1}: [reply-builder] "
-                              f"response_to_json called outside src/service/ "
+                errors.append(f"{rel}:{i + 1}: [reply-writer] "
+                              f"response_to_json called outside "
+                              f"src/service/ — it is the test oracle; frame "
+                              f"a reply with net::response_frame (and build "
+                              f"a failure with service::failure_response) "
+                              f"so every path sends the same bytes")
+            if not writer_allowed and WRITE_RESPONSE_RE.search(line):
+                errors.append(f"{rel}:{i + 1}: [reply-writer] "
+                              f"write_response called outside src/service/ "
                               f"and net/wire.cpp — frame a reply with "
-                              f"net::response_frame (and build a failure "
-                              f"with service::failure_response) so every "
-                              f"path sends the same bytes")
+                              f"net::response_frame so every path sends the "
+                              f"same bytes")
 
     # R1: raw double params in exported header decls need a [unit] doc tag.
     # core/units.h is the unit vocabulary itself: its factory helpers and
@@ -990,8 +1003,9 @@ class AppendLogger {                            // longer identifier
 """
 
 SELF_TEST_BAD_REPLY = """\
-// Hand-built reply encoders in the three shapes R15 must catch when the
-// file sits outside src/service/ and net/wire.cpp.
+// Hand-built reply writers in the three shapes R15 must catch, for each of
+// its two names: write_response outside src/service/ and net/wire.cpp,
+// response_to_json outside src/service/.
 #pragma once
 
 #include <string>
@@ -1011,19 +1025,35 @@ inline std::string bare(const service::Response& resp) {
   return response_to_json(resp).dump(-1);
 }
 
+inline std::string written(const service::Response& resp) {
+  std::string out;
+  service::write_response(out, resp, -1);
+  return out;
+}
+
+inline void written_spaced(std::string& out, const service::Response& resp) {
+  dsmt::service::write_response (out, resp, 2, 1);
+}
+
+using service::write_response;
+inline void written_bare(std::string& out, const service::Response& resp) {
+  write_response(out, resp, -1);
+}
+
 }  // namespace dsmt::demo
 """
 
 SELF_TEST_GOOD_REPLY = """\
 // Look-alikes R15 must stay quiet on: the sanctioned encoder, the request
-// codec, a comment, member calls, and longer identifiers.
+// codec, comments, member calls, and longer identifiers.
 #pragma once
 
 #include <string>
 
 namespace dsmt::demo {
 
-// response_to_json(resp) is framed by net::response_frame only.
+// response_to_json(resp) and write_response(out, resp, -1) live in
+// src/service/; a reply is framed by net::response_frame only.
 inline std::string sanctioned(const service::Response& resp) {
   return net::response_frame(resp);
 }
@@ -1037,6 +1067,14 @@ inline std::string look_alikes(const Codec& codec, const Codec* other,
   return codec.response_to_json(resp).dump(-1) +
          other->response_to_json(resp).dump(-1) +
          my_response_to_json(resp) + response_to_json_v2(resp);
+}
+
+inline void writer_look_alikes(Codec& codec, Codec* other, std::string& out,
+                               const service::Response& resp) {
+  codec.write_response(out, resp, -1);
+  other->write_response(out, resp, -1);
+  my_write_response(out, resp);
+  write_response_v2(out, resp);
 }
 
 }  // namespace dsmt::demo
@@ -1353,44 +1391,47 @@ def self_test() -> int:
                 print("  " + e)
             return 1
 
-        # R15 fires on every hand-built reply encoder outside the codec's
-        # home and the encoder's file ...
+        # R15 fires on every hand-built reply writer outside the writer's
+        # homes: both names in net/server.cpp ...
         bad_reply = root / "src" / "demo" / "bad_reply.h"
         bad_reply.write_text(SELF_TEST_BAD_REPLY)
         good_reply = root / "src" / "demo" / "good_reply.h"
         good_reply.write_text(SELF_TEST_GOOD_REPLY)
-        errors = []
-        lint_file(bad_reply, "net/server.cpp", errors)
-        reply_errs = [e for e in errors if "[reply-builder]" in e]
-        if len(reply_errs) != 3:  # qualified, spaced, bare
-            print(f"self-test FAILED: bad_reply.h raised {len(reply_errs)} "
-                  f"reply-builder violations, expected 3:")
-            for e in errors:
-                print("  " + e)
-            return 1
 
-        # ... stays quiet on the sanctioned encoder and the look-alikes ...
-        errors = []
-        lint_file(good_reply, "supervise/good_reply.h", errors)
-        if any("[reply-builder]" in e for e in errors):
-            print("self-test FAILED: good_reply.h should be R15-clean:")
-            for e in errors:
-                print("  " + e)
-            return 1
-
-        # ... and exempts src/service/ and the encoder's own file, but not
-        # the encoder's header.
-        for home in ("service/request.cpp", "net/wire.cpp"):
+        def reply_errors(rel: str) -> list[str]:
             errors = []
-            lint_file(bad_reply, home, errors)
-            if any("[reply-builder]" in e for e in errors):
-                print(f"self-test FAILED: R15 fired inside {home}")
+            lint_file(bad_reply, rel, errors)
+            return [e for e in errors if "[reply-writer]" in e]
+
+        # (path, expected response_to_json hits, expected write_response
+        # hits): three shapes each (qualified, spaced, bare).
+        for rel, oracle, writer in (("net/server.cpp", 3, 3),
+                                    ("net/wire.h", 3, 3),
+                                    ("net/wire.cpp", 3, 0),
+                                    ("service/request.cpp", 0, 0),
+                                    ("service/server.cpp", 0, 0)):
+            errs = reply_errors(rel)
+            got_oracle = len([e for e in errs if "response_to_json" in e])
+            got_writer = len([e for e in errs if "write_response" in e])
+            if (got_oracle, got_writer) != (oracle, writer):
+                print(f"self-test FAILED: bad_reply.h as {rel} raised "
+                      f"{got_oracle} response_to_json and {got_writer} "
+                      f"write_response reply-writer violations, expected "
+                      f"{oracle} and {writer}:")
+                for e in errs:
+                    print("  " + e)
                 return 1
-        errors = []
-        lint_file(bad_reply, "net/wire.h", errors)
-        if len([e for e in errors if "[reply-builder]" in e]) != 3:
-            print("self-test FAILED: R15 did not fire in net/wire.h")
-            return 1
+
+        # ... and stays quiet on the sanctioned encoder and the look-alikes.
+        for rel in ("supervise/good_reply.h", "net/server.cpp"):
+            errors = []
+            lint_file(good_reply, rel, errors)
+            if any("[reply-writer]" in e for e in errors):
+                print(f"self-test FAILED: good_reply.h as {rel} should be "
+                      f"R15-clean:")
+                for e in errors:
+                    print("  " + e)
+                return 1
 
     print("dsmt_lint: self-test passed (rules R1-R15)")
     return 0
