@@ -469,7 +469,7 @@ JsonWriter& JsonWriter::enter(char bracket) {
 
 JsonWriter& JsonWriter::leave(char bracket) {
   --depth_;
-  if (!first_) newline();  // an empty container closes on its own line
+  if (!first_) newline();  // "{}" and "[]" stay on one line
   out_ += bracket;
   first_ = false;  // the parent now holds this container
   return *this;
