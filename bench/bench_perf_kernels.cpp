@@ -9,13 +9,11 @@
 #include <string_view>
 #include <vector>
 
-#include "core/run_context.h"
 #include "core/variation.h"
 #include "numeric/dense.h"
 #include "numeric/roots.h"
 #include "numeric/sparse.h"
 #include "parallel/parallel_for.h"
-#include "selfconsistent/batch.h"
 #include "selfconsistent/solver.h"
 #include "selfconsistent/sweep.h"
 #include "tech/ntrs.h"
@@ -78,11 +76,9 @@ BENCHMARK(BM_SparseCgLaplace)->Arg(32)->Arg(64);
 // plain loop); higher rows measure the same bit-identical computation under
 // the static-block fan-out, so row ratios read directly as speedup.
 
-// Duty-cycle grid for the table-sweep pair: range(1) is the point count of
-// a log-spaced r sweep, the axis the paper's design-rule tables are plotted
-// over. Denser duty grids are where the batch solver's structural sharing
-// (one prototype per (gap fill, level), bracket evaluations memoized across
-// a duty run) has more lanes to amortize over.
+// Duty-cycle grid for the table sweep: range(1) is the point count of a
+// log-spaced r sweep, the axis the paper's design-rule tables are plotted
+// over.
 std::vector<double> bench_duty_grid(std::int64_t points) {
   if (points == 4) return {0.01, 0.1, 0.5, 1.0};
   return dsmt::selfconsistent::log_spaced(0.005, 1.0, static_cast<int>(points));
@@ -111,108 +107,8 @@ BENCHMARK(BM_DesignRuleTableSweep)
     ->Args({2, 32})->Args({8, 32})
     ->Unit(benchmark::kMillisecond);
 
-// Scalar baseline for the table sweep: a faithful replica of the pre-batch
-// table path — parallel_map<TableCell>, each cell keyed and solved with its
-// own make_level_problem + a transcription of the historical solve(): the
-// doubling bracket loop plus brent_robust over a residual that recomputes
-// the Eq.-13 terms on every evaluation (the selfconsistent::residual free
-// function keeps exactly that form). The one-time terms hoist (eq13.h)
-// landed together with the batch core, so the like-for-like baseline for
-// the batched row is the path it actually replaced. Outputs are bitwise
-// identical to solve() — asserted below before the timed loop — only the
-// per-evaluation bookkeeping differs.
-dsmt::selfconsistent::Solution solve_prebatch(
-    const dsmt::selfconsistent::Problem& p) {
-  namespace sc = dsmt::selfconsistent;
-  sc::Solution sol;
-  const double lo = p.t_ref.value() * (1.0 + 1e-12);
-  double hi = p.t_ref.value() + 1.0;
-  while (sc::residual(p, dsmt::units::Kelvin{hi}) < 0.0 &&
-         hi < p.t_ref.value() + 5000.0) {
-    dsmt::core::throw_if_run_interrupted("eq13/solve");
-    hi = p.t_ref.value() + 2.0 * (hi - p.t_ref.value());
-  }
-  if (sc::residual(p, dsmt::units::Kelvin{hi}) < 0.0) {
-    dsmt::core::SolverDiag diag;
-    diag.record("eq13/solve", dsmt::core::StatusCode::kNoBracket, 0,
-                sc::residual(p, dsmt::units::Kelvin{hi}),
-                "no sign change up to t_ref + 5000 K");
-    throw dsmt::SolveError("selfconsistent::solve: failed to bracket root",
-                           diag);
-  }
-  sol.diag.kernel = "eq13/solve";
-  const auto root = dsmt::numeric::brent_robust(
-      [&](double t) { return sc::residual(p, dsmt::units::Kelvin{t}); }, lo,
-      hi, {.x_tol = 1e-9, .f_tol = 0.0, .max_iterations = 200}, sol.diag);
-  sol.t_metal = dsmt::units::Kelvin{root.root};
-  sol.delta_t = sol.t_metal - p.t_ref;
-  sol.converged = root.ok();
-  sol.iterations = root.iterations;
-  sol.j_rms = sc::jrms_thermal_at(p, sol.t_metal);
-  sol.j_peak = sol.j_rms / std::sqrt(p.duty_cycle);
-  sol.j_avg = p.duty_cycle * sol.j_peak;
-  return sol;
-}
-
-void BM_DesignRuleTableSweepScalar(benchmark::State& state) {
-  dsmt::parallel::set_thread_count(static_cast<std::size_t>(state.range(0)));
-  dsmt::selfconsistent::TableSpec spec;
-  spec.technology = dsmt::tech::make_ntrs_100nm_cu();
-  spec.gap_fills = dsmt::materials::paper_dielectrics();
-  spec.levels = {1, 2, 3, 4, 5, 6, 7, 8};
-  spec.duty_cycles = bench_duty_grid(state.range(1));
-  spec.j0 = dsmt::MA_per_cm2(0.6);
-  const std::size_t n_gf = spec.gap_fills.size();
-  const std::size_t n_lv = spec.levels.size();
-  const std::size_t n_cells = spec.duty_cycles.size() * n_gf * n_lv;
-  // Faithfulness check: the replica must reproduce solve() bit for bit.
-  for (std::size_t idx = 0; idx < n_cells; idx += 17) {
-    const auto p = dsmt::selfconsistent::make_level_problem(
-        spec.technology, spec.levels[idx % n_lv],
-        spec.gap_fills[(idx / n_lv) % n_gf], spec.phi,
-        spec.duty_cycles[idx / (n_gf * n_lv)], spec.j0);
-    const auto a = solve_prebatch(p);
-    const auto b = dsmt::selfconsistent::solve(p);
-    if (a.t_metal.value() != b.t_metal.value() ||
-        a.j_peak.value() != b.j_peak.value() ||
-        a.iterations != b.iterations) {
-      state.SkipWithError("solve_prebatch drifted from solve()");
-      return;
-    }
-  }
-  for (auto _ : state) {
-    auto cells =
-        dsmt::parallel::parallel_map<dsmt::selfconsistent::TableCell>(
-            n_cells, [&](std::size_t idx) {
-              dsmt::selfconsistent::TableCell cell;
-              cell.level = spec.levels[idx % n_lv];
-              cell.dielectric = spec.gap_fills[(idx / n_lv) % n_gf].name;
-              cell.duty_cycle = spec.duty_cycles[idx / (n_gf * n_lv)];
-              cell.sol = solve_prebatch(
-                  dsmt::selfconsistent::make_level_problem(
-                      spec.technology, cell.level,
-                      spec.gap_fills[(idx / n_lv) % n_gf], spec.phi,
-                      cell.duty_cycle, spec.j0));
-              return cell;
-            });
-    benchmark::DoNotOptimize(cells.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(n_cells));
-  dsmt::parallel::set_thread_count(0);
-}
-BENCHMARK(BM_DesignRuleTableSweepScalar)
-    ->Args({1, 4})->Args({1, 16})->Args({1, 32})->Args({1, 64})
-    ->Args({2, 32})->Args({8, 32})
-    ->Unit(benchmark::kMillisecond);
-
-// Solver-core pair: the same 512 Eq.-13 lanes solved one-by-one through
-// solve() and once through solve_batch(), single-threaded, isolating the
-// batch core (hoisted per-lane terms, straight-line lane solves, elided
-// duplicate evaluations) from driver and threading effects. Note solve()
-// itself already benefits from the eq13.h terms hoist, so this pair
-// understates the win over the pre-batch scalar path — the table-sweep
-// pair above carries that comparison.
+// Solver core: 512 Eq.-13 problems solved one by one through solve(),
+// single-threaded, isolating the solver from driver and threading effects.
 std::vector<dsmt::selfconsistent::Problem> eq13_lane_problems() {
   std::vector<dsmt::selfconsistent::Problem> out;
   const auto technology = dsmt::tech::make_ntrs_100nm_cu();
@@ -241,22 +137,6 @@ void BM_Eq13SolveScalar(benchmark::State& state) {
   dsmt::parallel::set_thread_count(0);
 }
 BENCHMARK(BM_Eq13SolveScalar)->Unit(benchmark::kMillisecond);
-
-void BM_Eq13SolveBatch(benchmark::State& state) {
-  dsmt::parallel::set_thread_count(1);
-  const auto problems = eq13_lane_problems();
-  dsmt::selfconsistent::BatchProblem bp;
-  bp.reserve(problems.size());
-  for (const auto& p : problems) bp.push_back(p);
-  for (auto _ : state) {
-    const auto bs = dsmt::selfconsistent::solve_batch(bp);
-    benchmark::DoNotOptimize(bs.j_peak.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(problems.size()));
-  dsmt::parallel::set_thread_count(0);
-}
-BENCHMARK(BM_Eq13SolveBatch)->Unit(benchmark::kMillisecond);
 
 void BM_MonteCarloJpeak(benchmark::State& state) {
   dsmt::parallel::set_thread_count(static_cast<std::size_t>(state.range(0)));

@@ -11,7 +11,7 @@ namespace dsmt::cache {
 namespace {
 
 /// The two kernels a canonical clean solve leaves in its diag — must match
-/// selfconsistent/batch.cpp's synthesize_canonical_diag exactly.
+/// what selfconsistent::solve records for a first-try root find exactly.
 constexpr const char* kSolveKernel = "eq13/solve";
 constexpr const char* kRootKernel = "numeric/brent";
 
@@ -175,8 +175,8 @@ selfconsistent::Solution to_solution(const CachedSolve& value) {
   s.j_avg = units::CurrentDensity{value.j_avg_A_m2};
   s.converged = true;
   s.iterations = value.iterations;
-  // The synthesized canonical chain, exactly as batch.cpp writes it for a
-  // clean lane (and therefore exactly what solve_one returns first-try).
+  // The canonical chain, exactly what selfconsistent::solve returns on a
+  // first-try success.
   s.diag.kernel = kSolveKernel;
   s.diag.status = core::StatusCode::kOk;
   s.diag.iterations = value.iterations;

@@ -5,8 +5,8 @@
 // conversion the reply layer applies is reproduced on the hit path, so one
 // cached solve serves any id while keeping replies byte-identical to a cold
 // solve. Only CANONICAL solves are cacheable — a clean first-try success
-// whose diag chain is the single synthesized "numeric/brent" event
-// (selfconsistent/batch.cpp). Recovered or degraded solves carry history a
+// whose diag chain is the single "numeric/brent" event
+// selfconsistent::solve records. Recovered or degraded solves carry history a
 // fixed-width payload cannot round-trip, and caching them would make a
 // cached reply differ from a clean cold one; they simply stay uncached.
 //
@@ -58,15 +58,15 @@ std::string canonical_key(const service::Request& request);
 bool decode_canonical_key(std::string_view key, service::Request& request);
 
 /// True iff `solution` is a canonical clean solve: converged, kOk, and its
-/// diag is exactly the synthesized single-event "numeric/brent" chain.
+/// diag is exactly the single-event "numeric/brent" chain.
 bool canonical_solve(const selfconsistent::Solution& solution);
 
 /// Captures a canonical solve's numbers. Precondition: canonical_solve().
 CachedSolve from_solution(const selfconsistent::Solution& solution);
 
 /// Rebuilds the Solution a clean scalar solve would have returned,
-/// including the synthesized canonical diag — field-for-field what
-/// selfconsistent::solve_one leaves behind on a first-try success.
+/// including the canonical diag — field-for-field what
+/// selfconsistent::solve leaves behind on a first-try success.
 selfconsistent::Solution to_solution(const CachedSolve& value);
 
 /// Serializes (key, value) into the segment payload layout.

@@ -7,7 +7,6 @@
 
 #include "numeric/stats.h"
 #include "parallel/parallel_for.h"
-#include "selfconsistent/batch.h"
 #include "selfconsistent/sweep.h"
 
 namespace dsmt::core {
@@ -79,18 +78,17 @@ VariationResult monte_carlo_jpeak(const tech::Technology& technology,
     throw std::invalid_argument("monte_carlo_jpeak: n_samples < 2");
 
   VariationResult out;
-  out.nominal =
-      selfconsistent::solve_one(selfconsistent::make_level_problem(
-                                    technology, level, gap_fill, phi,
-                                    duty_cycle, A_per_m2(j0)))
-          .j_peak;
+  out.nominal = selfconsistent::solve(selfconsistent::make_level_problem(
+                                          technology, level, gap_fill, phi,
+                                          duty_cycle, A_per_m2(j0)))
+                    .j_peak;
 
   // Sampling phase: every sample draws from its own counter-seeded stream
-  // and writes its own slot, so the parallel result is bit-identical to the
-  // serial one for any thread count. Build the perturbed problems in
-  // parallel (the per-sample draw order fw, ft, fb, fk is unchanged) and
-  // solve them as ONE batch.
-  const auto lanes = parallel::parallel_map<selfconsistent::Problem>(
+  // (draw order fw, ft, fb, fk), solves its perturbed problem and writes its
+  // own slot, so the parallel result is bit-identical to the serial one for
+  // any thread count, and a failure throws the lowest failed sample's
+  // exception.
+  out.samples = parallel::parallel_map<double>(
       static_cast<std::size_t>(n_samples), [&](std::size_t s) {
         CounterNormalGen gen(spec.seed, s);
         tech::Technology t = technology;
@@ -109,15 +107,11 @@ VariationResult monte_carlo_jpeak(const tech::Technology& technology,
           l.ild_below *= fb;
         }
         gf.k_thermal *= fk;
-        return selfconsistent::make_level_problem(t, level, gf, phi,
-                                                  duty_cycle, A_per_m2(j0));
+        return selfconsistent::solve(
+                   selfconsistent::make_level_problem(
+                       t, level, gf, phi, duty_cycle, A_per_m2(j0)))
+            .j_peak.value();
       });
-  selfconsistent::BatchProblem bp;
-  bp.reserve(lanes.size());
-  for (const selfconsistent::Problem& p : lanes) bp.push_back(p);
-  const selfconsistent::BatchSolution bs = selfconsistent::solve_batch(bp);
-  bs.throw_first_failure();
-  out.samples = bs.j_peak;
   // Reduction phase: fold the summary in index order on this thread — the
   // exact floating-point accumulation sequence of the serial loop.
   const auto stats = parallel::ordered_reduce(

@@ -1,17 +1,11 @@
-// Shared closed-form terms of Eq. 13.
+// Closed-form terms of Eq. 13, in plain doubles.
 //
-// Both the scalar solver (solver.cpp) and the batched solver (batch.cpp)
-// evaluate the self-consistent residual through these inline helpers, so the
-// two paths compile the *same* expression tree. The bitwise scalar/batch
-// equivalence asserted by tests/test_batch_differential.cpp starts here: a
-// reformulated residual in one path but not the other would drift in the
-// last ulp and fail the harness.
-//
-// Terms holds the per-problem constants hoisted out of the evaluation loop.
-// Every field is produced by exactly the operation sequence the scalar
-// solver historically performed per evaluation (e.g. `j0_sq = j0 * j0`,
-// `em_coeff = 2 Q / (n kB)` with the same association), so precomputing them
-// once per lane cannot change a single bit of any residual value.
+// Terms holds the per-problem constants hoisted out of the root find's
+// residual evaluations. Every field is produced by exactly the operation
+// sequence the solver historically performed per evaluation (e.g.
+// `j0_sq = j0 * j0`, `em_coeff = 2 Q / (n kB)` with the same association),
+// so precomputing them once per solve cannot change a single bit of any
+// residual value.
 #pragma once
 
 #include <algorithm>
@@ -21,9 +15,9 @@
 
 namespace dsmt::selfconsistent::eq13 {
 
-/// Per-problem constants of Eq. 13 in plain doubles: the batched solver
-/// stores one of these per lane and the flat evaluation loop reads nothing
-/// else, which keeps the inner loop free of Quantity wrappers and strings.
+/// Per-problem constants of Eq. 13 in plain doubles: the residual reads
+/// nothing else, which keeps the root find's inner loop free of Quantity
+/// wrappers and strings.
 struct Terms {
   double duty = 0.0;         ///< duty cycle r [1]
   double t_ref = 0.0;        ///< problem reference temperature [K]
@@ -37,30 +31,21 @@ struct Terms {
   double em_coeff = 0.0;     ///< 2 Q / (n kB) [K]
 };
 
-inline Terms make_terms(double duty, double j0, double t_ref, double h,
-                        double rho_ref, double metal_t_ref, double tcr,
-                        double activation_energy_ev, double current_exponent) {
-  Terms q;
-  q.duty = duty;
-  q.t_ref = t_ref;
-  q.inv_t_ref = 1.0 / t_ref;
-  q.h = h;
-  q.rho_ref = rho_ref;
-  q.rho_min = 0.01 * rho_ref;
-  q.metal_t_ref = metal_t_ref;
-  q.tcr = tcr;
-  q.j0_sq = j0 * j0;
-  q.em_coeff =
-      2.0 * activation_energy_ev / (current_exponent * kBoltzmannEv);
-  return q;
-}
-
 inline Terms make_terms(const Problem& p) {
-  return make_terms(p.duty_cycle, p.j0.value(), p.t_ref.value(),
-                    p.heating_coefficient.value(), p.metal.rho_ref.value(),
-                    p.metal.t_ref.value(), p.metal.tcr,
-                    p.metal.em.activation_energy_ev,
-                    p.metal.em.current_exponent);
+  const double j0 = p.j0.value();
+  Terms q;
+  q.duty = p.duty_cycle;
+  q.t_ref = p.t_ref.value();
+  q.inv_t_ref = 1.0 / q.t_ref;
+  q.h = p.heating_coefficient.value();
+  q.rho_ref = p.metal.rho_ref.value();
+  q.rho_min = 0.01 * q.rho_ref;
+  q.metal_t_ref = p.metal.t_ref.value();
+  q.tcr = p.metal.tcr;
+  q.j0_sq = j0 * j0;
+  q.em_coeff = 2.0 * p.metal.em.activation_energy_ev /
+               (p.metal.em.current_exponent * kBoltzmannEv);
+  return q;
 }
 
 /// rho [Ohm*m] at metal temperature t_m [K] with the 0.01*rho_ref
@@ -80,33 +65,13 @@ inline double javg2_em(const Terms& q, double t_m) {
   return q.j0_sq * std::exp(q.em_coeff * (1.0 / t_m - q.inv_t_ref));
 }
 
-/// The two duty-independent factors of the residual at t_m: a = thermal
-/// j_rms^2 bound, b = EM j_avg^2 bound. Lanes that differ only in duty
-/// cycle visit the same bracket abscissas (the grid depends only on t_ref),
-/// so the batched solver computes Parts once per abscissa per duty run and
-/// combines per lane with residual_from().
-struct Parts {
-  double a = 0.0;  ///< jrms2_thermal(q, t_m), duty-independent
-  double b = 0.0;  ///< javg2_em(q, t_m), duty-independent
-};
-
-inline Parts residual_parts(const Terms& q, double t_m /*[K]*/) {
-  return {jrms2_thermal(q, t_m), javg2_em(q, t_m)};
-}
-
-/// Combines precomputed Parts into the residual. residual() itself routes
-/// through this exact inline function, so a memoized evaluation is the
-/// same expression tree over bit-identical inputs as a direct one — value
-/// sharing cannot move a single bit.
-inline double residual_from(const Terms& q, Parts p) {
-  return q.duty * p.a - p.b;
-}
-
 /// r * j_rms^2(thermal) - j_avg^2(EM) at metal temperature t_m [K]:
 /// negative below the root, positive above. The root in t_m is the
 /// self-consistent operating temperature.
 inline double residual(const Terms& q, double t_m) {
-  return residual_from(q, residual_parts(q, t_m));
+  const double a = jrms2_thermal(q, t_m);
+  const double b = javg2_em(q, t_m);
+  return q.duty * a - b;
 }
 
 }  // namespace dsmt::selfconsistent::eq13

@@ -32,9 +32,6 @@ void validate(const Problem& p) {
     throw std::invalid_argument(
         "Problem: heating coefficient <= 0 or non-finite");
 }
-
-// The residual arithmetic itself lives in eq13.h, shared verbatim with the
-// batched solver so the two paths cannot drift by an ulp.
 }  // namespace
 
 units::CurrentDensity jrms_thermal_at(const Problem& p, units::Kelvin t_m) {

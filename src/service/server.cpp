@@ -10,7 +10,7 @@
 #include "core/run_context.h"
 #include "core/signoff.h"
 #include "parallel/parallel_for.h"
-#include "selfconsistent/batch.h"
+#include "selfconsistent/solver.h"
 
 namespace dsmt::service {
 
@@ -186,7 +186,7 @@ Response Server::execute(const Request& request) {
   selfconsistent::Solution solution;
   core::StatusCode failure = core::StatusCode::kOk;
   try {
-    solution = selfconsistent::solve_one(ladder.full);
+    solution = selfconsistent::solve(ladder.full);
     solved = true;
   } catch (const SolveError& e) {
     failure = e.status();

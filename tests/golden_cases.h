@@ -19,7 +19,6 @@
 #include "core/variation.h"
 #include "numeric/constants.h"
 #include "numeric/fault_injection.h"
-#include "selfconsistent/batch.h"
 #include "selfconsistent/sweep.h"
 #include "service/request.h"
 #include "service/server.h"
@@ -157,47 +156,38 @@ inline Rows variation_rows() {
   return rows;
 }
 
-/// Batched design-rule table, pinned against the solve_batch public API
-/// directly (the Tables 2-4 rows above cover the batched sweep drivers):
-/// a (duty x dielectric x level) grid for the 100 nm Cu node assembled as
-/// one BatchProblem and solved in a single call. Failed lanes would show up
-/// as missing rows, retired-lane leakage as value drift.
+/// Design-rule table pinned against selfconsistent::solve directly (the
+/// Tables 2-4 rows above cover the sweep driver): a (duty x dielectric x
+/// level) grid for the 100 nm Cu node, one solve per cell. A failed cell
+/// would throw, value drift would show in the rows.
 inline Rows batch_table_rows() {
   const auto technology = tech::make_ntrs_100nm_cu();
   const auto gap_fills = materials::paper_dielectrics();
   const std::vector<int> levels = {5, 6, 7, 8};
   const std::vector<double> duties = {0.01, 0.1, 0.5, 1.0};
 
-  selfconsistent::BatchProblem bp;
-  std::vector<std::string> keys;
+  Rows rows;
   for (const double r : duties) {
     for (const auto& gf : gap_fills) {
       for (const int level : levels) {
-        bp.push_back(selfconsistent::make_level_problem(
-            technology, level, gf, 2.45, r, MA_per_cm2(0.6)));
-        keys.push_back("batch_table/r=" + std::to_string(r) + "/" + gf.name +
-                       "/M" + std::to_string(level));
+        const std::string key = "batch_table/r=" + std::to_string(r) + "/" +
+                                gf.name + "/M" + std::to_string(level);
+        const selfconsistent::Solution s =
+            selfconsistent::solve(selfconsistent::make_level_problem(
+                technology, level, gf, 2.45, r, MA_per_cm2(0.6)));
+        rows.emplace_back(key + "/tm_C", kelvin_to_celsius(s.t_metal));
+        rows.emplace_back(key + "/jpeak_MA_cm2", to_MA_per_cm2(s.j_peak));
+        rows.emplace_back(key + "/iterations",
+                          static_cast<double>(s.iterations));
       }
     }
-  }
-  const selfconsistent::BatchSolution bs = selfconsistent::solve_batch(bp);
-  bs.throw_first_failure();
-  Rows rows;
-  for (std::size_t i = 0; i < bs.size(); ++i) {
-    rows.emplace_back(keys[i] + "/tm_C",
-                      kelvin_to_celsius(units::Kelvin{bs.t_metal[i]}));
-    rows.emplace_back(keys[i] + "/jpeak_MA_cm2",
-                      to_MA_per_cm2(A_per_m2(bs.j_peak[i])));
-    rows.emplace_back(keys[i] + "/iterations",
-                      static_cast<double>(bs.iterations[i]));
   }
   return rows;
 }
 
-/// Batched Monte-Carlo variation summary on a second configuration (250 nm
-/// Cu node, polyimide gap fill, power duty): the sampling now routes through
-/// solve_batch, so this pins the batched MC end to end — per-sample seeding,
-/// lane ordering, and the ordered reduction.
+/// Monte-Carlo variation summary on a second configuration (250 nm Cu
+/// node, polyimide gap fill, power duty): pins the sampling end to end —
+/// per-sample seeding, sample ordering, and the ordered reduction.
 inline Rows batch_variation_rows() {
   core::VariationSpec spec;
   const auto technology = tech::make_ntrs_250nm_cu();

@@ -7,9 +7,9 @@
 #include <cmath>
 #include <tuple>
 
+#include "core/variation.h"
 #include "numeric/constants.h"
 #include "parallel/parallel_for.h"
-#include "selfconsistent/batch.h"
 #include "selfconsistent/sweep.h"
 #include "tech/ntrs.h"
 #include "thermal/impedance.h"
@@ -219,86 +219,82 @@ TEST_F(ParallelSweepProperties, TableCellsIndependentOfGridShape) {
   EXPECT_EQ(it->sol.t_metal.value(), solo[0].sol.t_metal.value());
 }
 
-TEST_F(ParallelSweepProperties, SweepPointsMatchDirectBatchLanes) {
-  // The sweep driver routes through solve_batch; assembling the same lanes
-  // by hand through the public batch API must give bit-identical points —
-  // there is no sweep-only arithmetic between the lanes and the results.
+TEST_F(ParallelSweepProperties, SweepPointsMatchDirectSolves) {
+  // The sweep driver adds no arithmetic between the solver and its points:
+  // each point is bitwise a direct solve of the base problem at its duty.
   const Problem base = fig_problem();
   const auto duties = log_spaced(1e-4, 1.0, 17);
   const auto points = sweep_duty_cycle(base, duties);
-
-  BatchProblem bp;
-  bp.reserve(duties.size());
-  for (const double r : duties) {
-    Problem p = base;
-    p.duty_cycle = r;
-    bp.push_back(p);
-  }
-  const BatchSolution bs = solve_batch(bp);
-  bs.throw_first_failure();
-  ASSERT_EQ(bs.size(), points.size());
+  ASSERT_EQ(points.size(), duties.size());
   for (std::size_t k = 0; k < points.size(); ++k) {
-    EXPECT_EQ(points[k].sc.t_metal.value(), bs.t_metal[k]) << "duty " << k;
-    EXPECT_EQ(points[k].sc.j_peak.value(), bs.j_peak[k]) << "duty " << k;
-    EXPECT_EQ(points[k].sc.j_rms.value(), bs.j_rms[k]) << "duty " << k;
-    EXPECT_EQ(points[k].sc.iterations, bs.iterations[k]) << "duty " << k;
+    Problem p = base;
+    p.duty_cycle = duties[k];
+    const Solution s = solve(p);
+    EXPECT_EQ(points[k].duty_cycle, duties[k]) << "duty " << k;
+    EXPECT_EQ(points[k].sc.t_metal.value(), s.t_metal.value()) << "duty " << k;
+    EXPECT_EQ(points[k].sc.j_peak.value(), s.j_peak.value()) << "duty " << k;
+    EXPECT_EQ(points[k].sc.j_rms.value(), s.j_rms.value()) << "duty " << k;
+    EXPECT_EQ(points[k].sc.iterations, s.iterations) << "duty " << k;
   }
 }
 
-TEST_F(ParallelSweepProperties, BatchJ0MonotoneAtEveryDuty) {
-  // j0-monotonicity through the raw batch path: one flat (j0 x duty) batch,
-  // strictly increasing j_peak in j0 at every duty cycle — the same
-  // physical property SweepJ0MonotoneInJ0 checks through the sweep driver.
-  const Problem base = fig_problem();
-  const std::vector<double> j0s = {MA_per_cm2(0.3), MA_per_cm2(0.6),
-                                   MA_per_cm2(1.2), MA_per_cm2(1.8),
-                                   MA_per_cm2(2.4)};
-  const auto duties = log_spaced(1e-4, 1.0, 13);
-  BatchProblem bp;
-  bp.reserve(j0s.size() * duties.size());
-  for (const double j0 : j0s) {
-    for (const double r : duties) {
-      Problem p = base;
-      p.j0 = A_per_m2(j0);
-      p.duty_cycle = r;
-      bp.push_back(p);
-    }
-  }
-  const BatchSolution bs = solve_batch(bp);
-  bs.throw_first_failure();
-  for (std::size_t k = 0; k < duties.size(); ++k)
-    for (std::size_t i = 1; i < j0s.size(); ++i)
-      EXPECT_GT(bs.j_peak[i * duties.size() + k],
-                bs.j_peak[(i - 1) * duties.size() + k])
-          << "duty " << duties[k] << ", j0 step " << i;
+TEST_F(ParallelSweepProperties, TableCellsMatchDirectSolves) {
+  // Every table cell is bitwise a direct solve of its level problem, and the
+  // cells come back in (duty x gap-fill x level) order.
+  TableSpec spec;
+  spec.technology = tech::make_ntrs_130nm_cu();
+  spec.gap_fills = materials::paper_dielectrics();
+  spec.levels = {2, 5, 7};
+  spec.duty_cycles = {0.01, 0.1, 1.0};
+  spec.j0 = MA_per_cm2(0.6);
+  const auto cells = generate_design_rule_table(spec);
+  ASSERT_EQ(cells.size(), spec.duty_cycles.size() * spec.gap_fills.size() *
+                              spec.levels.size());
+  std::size_t idx = 0;
+  for (const double r : spec.duty_cycles)
+    for (const auto& gf : spec.gap_fills)
+      for (const int level : spec.levels) {
+        const TableCell& cell = cells[idx++];
+        const Solution s = solve(make_level_problem(
+            spec.technology, level, gf, spec.phi, r, spec.j0));
+        EXPECT_EQ(cell.level, level) << idx;
+        EXPECT_EQ(cell.dielectric, gf.name) << idx;
+        EXPECT_EQ(cell.duty_cycle, r) << idx;
+        EXPECT_EQ(cell.sol.t_metal.value(), s.t_metal.value()) << idx;
+        EXPECT_EQ(cell.sol.j_peak.value(), s.j_peak.value()) << idx;
+        EXPECT_EQ(cell.sol.iterations, s.iterations) << idx;
+      }
 }
 
-TEST_F(ParallelSweepProperties, BatchDutyPermutationInvariance) {
-  // Duty permutation invariance through the raw batch path: reversing the
-  // lane order reverses the outputs bit-for-bit, mirroring
-  // DutyCyclePermutationInvariance on the sweep driver.
-  const Problem base = fig_problem();
-  const auto duties = log_spaced(1e-4, 1.0, 17);
-  BatchProblem fwd, rev;
-  for (const double r : duties) {
-    Problem p = base;
-    p.duty_cycle = r;
-    fwd.push_back(p);
-  }
-  for (auto it = duties.rbegin(); it != duties.rend(); ++it) {
-    Problem p = base;
-    p.duty_cycle = *it;
-    rev.push_back(p);
-  }
-  const BatchSolution a = solve_batch(fwd);
-  const BatchSolution b = solve_batch(rev);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t k = 0; k < a.size(); ++k) {
-    const std::size_t m = a.size() - 1 - k;
-    EXPECT_EQ(a.t_metal[k], b.t_metal[m]) << k;
-    EXPECT_EQ(a.j_peak[k], b.j_peak[m]) << k;
-    EXPECT_EQ(a.iterations[k], b.iterations[m]) << k;
-  }
+TEST_F(ParallelSweepProperties, MonteCarloSamplesMatchDirectSolves) {
+  // With every variation at zero, each sample's problem is the nominal one,
+  // so every sample is bitwise the direct solve of it.
+  const auto technology = tech::make_ntrs_180nm_cu();
+  const int level = technology.top_level();
+  const auto gf = materials::make_hsq();
+  const Solution s = solve(make_level_problem(
+      technology, level, gf, thermal::kPhiQuasi2D, 0.1, MA_per_cm2(1.8)));
+  core::VariationSpec flat;
+  flat.width = flat.thickness = flat.stack = flat.k_thermal = 0.0;
+  const auto res =
+      core::monte_carlo_jpeak(technology, level, gf, thermal::kPhiQuasi2D,
+                              0.1, MA_per_cm2(1.8), flat, 37);
+  EXPECT_EQ(res.nominal, s.j_peak.value());
+  ASSERT_EQ(res.samples.size(), 37u);
+  for (std::size_t k = 0; k < res.samples.size(); ++k)
+    EXPECT_EQ(res.samples[k], s.j_peak.value()) << "sample " << k;
+
+  // Under variation, sample k depends only on (seed, k): a longer run
+  // repeats a shorter one's samples bit for bit.
+  const core::VariationSpec spec;
+  const auto shorter =
+      core::monte_carlo_jpeak(technology, level, gf, thermal::kPhiQuasi2D,
+                              0.1, MA_per_cm2(1.8), spec, 40);
+  const auto longer =
+      core::monte_carlo_jpeak(technology, level, gf, thermal::kPhiQuasi2D,
+                              0.1, MA_per_cm2(1.8), spec, 101);
+  for (std::size_t k = 0; k < shorter.samples.size(); ++k)
+    EXPECT_EQ(shorter.samples[k], longer.samples[k]) << "sample " << k;
 }
 
 }  // namespace

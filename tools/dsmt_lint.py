@@ -68,17 +68,6 @@ Rules (library code under src/ only — tests/bench/examples are exempt):
                   (`decoder_.next(...)`, `ctx.poll()`) and nullary accessor
                   declarations (`StatusCode poll() const`) do not fire.
                   tests/, tools/, and examples/ are exempt, like all rules.
-  R12 hot-path-solver  The many-instance hot paths (selfconsistent/sweep.cpp,
-                  core/variation.cpp, src/service/) must solve Eq. 13
-                  through the batch API (solve_batch / solve_one,
-                  selfconsistent/batch.h): a raw scalar
-                  `selfconsistent::solve(` or `numeric::brent_robust(` call
-                  there quietly reverts the path to one-Brent-per-lane
-                  and bypasses the batch kernel that perf/ measures.
-                  selfconsistent/solver.cpp is the exempt home — it IS the
-                  scalar chain the batch API transcribes. Look-alikes
-                  (`solve_one(`, `solve_batch(`, `resolve(`, member
-                  `.solve(`) do not fire.
   R14 cache-primitives  src/cache/ is the sole home of cache-file I/O and
                   checksum primitives. (a) The FNV-1a constants (offset
                   bases and prime, decimal or hex) may be spelled only in
@@ -275,30 +264,6 @@ SYSCALL_DATA_RE = _syscall_re(SYSCALL_DATA_NAMES)
 # EINTR handling must be visible within this many lines of the call site.
 EINTR_SPAN = 8
 EINTR_RE = re.compile(r"\bEINTR\b")
-
-# The many-instance Eq.-13 hot paths (R12): every solver entry there must be
-# solve_batch / solve_one so the SoA batch core cannot be silently bypassed.
-# selfconsistent/solver.cpp is the exempt home of the scalar chain itself.
-R12_HOT_PATH_PREFIXES = ("service/",)
-R12_HOT_PATH_FILES = {
-    "selfconsistent/sweep.cpp",
-    "core/variation.cpp",
-}
-R12_SOLVER_HOME = "selfconsistent/solver.cpp"
-
-# A raw scalar solver call: `solve(...)` (optionally selfconsistent::
-# qualified) or `brent_robust(...)` (optionally numeric:: qualified). The
-# lookbehind keeps member calls (`.solve(`), suffixed/prefixed identifiers
-# (`resolve(`), and the sanctioned batch entries (`solve_one(`,
-# `solve_batch(` — different identifiers entirely) from matching.
-R12_SCALAR_SOLVE_RE = re.compile(
-    r"(?<![\w.:>])(?:selfconsistent::)?solve\s*\(|"
-    r"(?<![\w.:>])(?:numeric::)?brent_robust\s*\(")
-
-
-def in_r12_hot_path(rel: str) -> bool:
-    return rel.startswith(R12_HOT_PATH_PREFIXES) or rel in R12_HOT_PATH_FILES
-
 
 # The one directory allowed to manage child processes (R13): the supervised
 # worker pool owns fork / exec / reap / kill / rlimit rails, so crash
@@ -543,20 +508,6 @@ def lint_file(path: pathlib.Path, rel: str, errors: list):
                               f"visible EINTR handling within {EINTR_SPAN} "
                               f"lines — retry the call (or document why the "
                               f"interrupt cannot occur) at the site")
-
-    # R12: the many-instance hot paths solve Eq. 13 through the batch API
-    # only; the scalar chain lives in selfconsistent/solver.cpp.
-    if in_r12_hot_path(rel) and rel != R12_SOLVER_HOME:
-        for i, raw in enumerate(lines):
-            line = strip_comments(raw)
-            m = R12_SCALAR_SOLVE_RE.search(line)
-            if m:
-                errors.append(f"{rel}:{i + 1}: [hot-path-solver] raw scalar "
-                              f"solver call ('{m.group(0).strip()}') on a "
-                              f"many-instance hot path — go through "
-                              f"selfconsistent::solve_batch / solve_one "
-                              f"(selfconsistent/batch.h) so the SoA batch "
-                              f"core cannot be bypassed")
 
     # R13: child-process management syscalls live in src/supervise/ only —
     # the worker pool is the single owner of fork/reap/kill/rlimit, so
@@ -859,41 +810,6 @@ class Probe {
 }  // namespace dsmt::net
 """
 
-SELF_TEST_BAD_HOTPATH = """\
-// Raw scalar solver entries in the three shapes R12 must catch when the
-// file sits on a many-instance hot path.
-#include "selfconsistent/batch.h"
-
-namespace dsmt::selfconsistent {
-
-void drive(const Problem& p, std::vector<Problem>& ps) {
-  auto a = solve(p);                                // bare scalar call
-  auto b = selfconsistent::solve(p);                // qualified scalar call
-  auto r = numeric::brent_robust([](double t) { return t; }, 0.0, 1.0);
-}
-
-}  // namespace dsmt::selfconsistent
-"""
-
-SELF_TEST_GOOD_HOTPATH = """\
-// The sanctioned hot-path shapes: the batch API, plus every look-alike
-// identifier R12 must stay quiet on.
-#include "selfconsistent/batch.h"
-
-namespace dsmt::selfconsistent {
-
-void drive(const Problem& p, std::vector<Problem>& ps) {
-  auto one = solve_one(p);             // 1-lane adapter: sanctioned
-  BatchProblem bp;
-  for (const Problem& q : ps) bp.push_back(q);
-  auto bs = solve_batch(bp);           // batch entry: sanctioned
-  auto x = resolve(p);                 // suffix look-alike, not solve()
-  auto y = engine.solve(p);            // member call, not the scalar chain
-}
-
-}  // namespace dsmt::selfconsistent
-"""
-
 SELF_TEST_BAD_PROCESS = """\
 // Raw process-management syscalls in the four shapes R13 must catch when
 // the file sits outside src/supervise/.
@@ -1132,11 +1048,6 @@ def self_test() -> int:
         bad_sys.write_text(SELF_TEST_BAD_SYSCALL)
         good_net = root / "src" / "net" / "good_io.h"
         good_net.write_text(SELF_TEST_GOOD_NET)
-        (root / "src" / "selfconsistent").mkdir(parents=True)
-        bad_hot = root / "src" / "selfconsistent" / "sweep.cpp"
-        bad_hot.write_text(SELF_TEST_BAD_HOTPATH)
-        good_hot = root / "src" / "service" / "good_hot.cpp"
-        good_hot.write_text(SELF_TEST_GOOD_HOTPATH)
         bad_proc = root / "src" / "demo" / "bad_proc.h"
         bad_proc.write_text(SELF_TEST_BAD_PROCESS)
         good_proc = root / "src" / "demo" / "good_proc.h"
@@ -1270,43 +1181,6 @@ def self_test() -> int:
                 print("  " + e)
             return 1
 
-        # R12 fires on every raw scalar solver shape on a hot path ...
-        errors = []
-        lint_file(bad_hot, "selfconsistent/sweep.cpp", errors)
-        hot = [e for e in errors if "[hot-path-solver]" in e]
-        if len(hot) != 3:  # solve, selfconsistent::solve, brent_robust
-            print(f"self-test FAILED: hot-path sweep.cpp raised {len(hot)} "
-                  f"hot-path-solver violations, expected 3:")
-            for e in errors:
-                print("  " + e)
-            return 1
-
-        # ... stays quiet on the batch API and the look-alike identifiers ...
-        errors = []
-        lint_file(good_hot, "service/good_hot.cpp", errors)
-        if any("[hot-path-solver]" in e for e in errors):
-            print("self-test FAILED: good_hot.cpp should be R12-clean:")
-            for e in errors:
-                print("  " + e)
-            return 1
-
-        # ... is scoped to the hot paths: the same scalar calls in an
-        # unfenced subsystem raise nothing ...
-        errors = []
-        lint_file(bad_hot, "demo/free_solver.cpp", errors)
-        if any("[hot-path-solver]" in e for e in errors):
-            print("self-test FAILED: R12 fired outside the hot paths")
-            return 1
-
-        # ... and exempts selfconsistent/solver.cpp, the home of the scalar
-        # chain itself (hypothetically hot-pathed here to prove the carve-out
-        # beats the fence).
-        errors = []
-        lint_file(bad_hot, "selfconsistent/solver.cpp", errors)
-        if any("[hot-path-solver]" in e for e in errors):
-            print("self-test FAILED: R12 fired on the solver.cpp exempt home")
-            return 1
-
         # R13 fires on every raw process-syscall shape outside
         # src/supervise/ ...
         errors = []
@@ -1433,7 +1307,7 @@ def self_test() -> int:
                     print("  " + e)
                 return 1
 
-    print("dsmt_lint: self-test passed (rules R1-R15)")
+    print("dsmt_lint: self-test passed (rules R1-R11, R13-R15)")
     return 0
 
 
