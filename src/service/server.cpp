@@ -43,14 +43,13 @@ Server::~Server() {
 void Server::serve_batch(const std::vector<Request>& batch,
                          const ReplySink& sink) {
   received_ += batch.size();
-  const std::size_t capacity =
-      config_.queue_capacity > 0 ? config_.queue_capacity : 1;
 
   // Admission first, serially, in index order: the burst either fits in the
   // bounded queue or is shed. No thread ever influences the decision, so
   // identical batches admit identically at every DSMT_THREADS value. In
-  // index order, the admitted requests are the prefix [0, admitted).
-  const std::size_t admitted = std::min(batch.size(), capacity);
+  // index order, the admitted requests are the prefix [0, admitted); a
+  // capacity of 0 admits nothing.
+  const std::size_t admitted = std::min(batch.size(), config_.queue_capacity);
   admitted_ += admitted;
   shed_ += batch.size() - admitted;
 

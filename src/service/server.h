@@ -59,7 +59,8 @@
 namespace dsmt::service {
 
 struct ServerConfig {
-  /// Bounded admission queue: per-burst slots before shedding starts.
+  /// Bounded admission queue: per-burst slots before shedding starts (0
+  /// sheds every request of a burst).
   std::size_t queue_capacity = 256;
   /// Per-request deadline budget [ns] (0 = none). Merged with any tighter
   /// ambient deadline already installed by the caller.

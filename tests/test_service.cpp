@@ -141,6 +141,35 @@ TEST(Admission, ShedsBeyondQueueCapacityDeterministically) {
   EXPECT_FALSE(static_cast<bool>(core::signoff_service_source()));
 }
 
+TEST(Admission, ZeroCapacityAdmitsNothing) {
+  // Capacity 0 sheds the whole burst, and the replies, the counters and the
+  // service section all say so.
+  ServerConfig cfg = quiet_config();
+  cfg.queue_capacity = 0;
+  Server server(cfg);
+  const std::vector<Request> batch = {wire_request("a"), wire_request("b")};
+  const std::vector<Response> responses = server.submit_batch(batch);
+  ASSERT_EQ(responses.size(), 2u);
+  for (std::size_t i = 0; i < responses.size(); ++i) {
+    EXPECT_EQ(responses[i].id, batch[i].id);
+    EXPECT_EQ(responses[i].status, core::StatusCode::kRejectedOverload) << i;
+    EXPECT_EQ(responses[i].error,
+              "shed at admission: burst exceeded queue capacity 0")
+        << i;
+  }
+  const ServerMetrics m = server.metrics();
+  EXPECT_EQ(m.received, 2u);
+  EXPECT_EQ(m.admitted, 0u);
+  EXPECT_EQ(m.shed, 2u);
+  EXPECT_EQ(m.ok_full, 0u);
+  const report::Json section = server.service_json();
+  const report::Json* queue = section.find("queue");
+  ASSERT_NE(queue, nullptr);
+  EXPECT_EQ(queue->find("capacity")->as_integer(), 0);
+  EXPECT_EQ(queue->find("admitted")->as_integer(), 0);
+  EXPECT_EQ(queue->find("shed")->as_integer(), 2);
+}
+
 TEST(Admission, ChaosBatchAlwaysGetsTerminalStructuredResponses) {
   ThreadCountGuard guard;
   parallel::set_thread_count(8);
