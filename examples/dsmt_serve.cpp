@@ -29,6 +29,11 @@
 // The solve cache (--cache-dir) is in-process only: the parent never solves,
 // and children must not share a segment file.
 //
+// Numeric options take whole base-10 integers, checked in every mode
+// (also printed by --help): --tick-ms and --workers at least 1, --tcp at
+// most 65535, --indent any int (negative prints one line), every other
+// count or budget at least 0.
+//
 // Exit-code contract (also printed by --help):
 //   0  batch: every request got a terminal response (shed and degraded
 //      count as served; with --strict, additionally no terminal response
@@ -92,20 +97,22 @@ constexpr const char* kValueOptions[] = {
     "max-inflight", "tick-ms",      "idle-ticks",   "drain-ticks",
     "workers",      "rlimit-as-mb", "rlimit-cpu-s", "crash-faults"};
 
-/// The value of --name as one whole base-10 T no larger than `max`; an
-/// unsigned T takes no sign. Anything else ("1e3", "-1" for a count,
+/// The value of --name as one whole base-10 T in [min, max]; an unsigned T
+/// takes no sign. Anything else ("1e3", "-1" for a count, "0" for a tick,
 /// "70000" for a port, trailing bytes, overflow) throws, so main exits 2
 /// naming the option instead of serving a misread number.
 template <typename T>
 T integer_option(const std::map<std::string, std::string>& opts,
                  const std::string& name,
+                 T min = std::numeric_limits<T>::lowest(),
                  T max = std::numeric_limits<T>::max()) {
   const std::string& text = opts.at(name);
   const char* end = text.data() + text.size();
   T value{};
   const std::from_chars_result parsed =
       std::from_chars(text.data(), end, value);
-  if (parsed.ec != std::errc{} || parsed.ptr != end || value > max)
+  if (parsed.ec != std::errc{} || parsed.ptr != end || value < min ||
+      value > max)
     throw std::invalid_argument("invalid value '" + text + "' for --" + name);
   return value;
 }
@@ -141,6 +148,11 @@ int usage(bool to_stdout = false) {
       "stay byte-identical to cold solves; corrupt entries are\n"
       "quarantined, never served. The cache is in-process only:\n"
       "--cache-dir with --isolate is refused.\n"
+      "\n"
+      "Numeric values are whole base-10 integers, checked in every mode:\n"
+      "--tick-ms and --workers at least 1, --tcp at most 65535, --indent\n"
+      "any int (negative prints one line), every other count or budget at\n"
+      "least 0.\n"
       "\n"
       "exit codes:\n"
       "  0  served: every request answered (batch) / clean drain (socket);\n"
@@ -330,17 +342,52 @@ int main(int argc, char** argv) {
   }
 
   try {
+    // Every numeric option is checked here, before the mode is chosen, so
+    // a bad value exits 2 even in a mode that never reads it.
     service::ServerConfig config;
     constexpr std::uint64_t kNsPerMs = 1000000;
     if (opts.count("queue"))
       config.queue_capacity = integer_option<std::size_t>(opts, "queue");
     if (opts.count("deadline-ms"))
       config.deadline_ns =
-          integer_option<std::uint64_t>(opts, "deadline-ms",
+          integer_option<std::uint64_t>(opts, "deadline-ms", 0,
                                         UINT64_MAX / kNsPerMs) *
           kNsPerMs;
     const int indent =
         opts.count("indent") ? integer_option<int>(opts, "indent") : 2;
+
+    net::NetConfig net_config;
+    if (opts.count("tcp"))
+      net_config.endpoint.port = integer_option<std::uint16_t>(opts, "tcp");
+    if (opts.count("max-connections"))
+      net_config.max_connections =
+          integer_option<std::size_t>(opts, "max-connections");
+    if (opts.count("max-inflight"))
+      net_config.max_inflight_total =
+          integer_option<std::size_t>(opts, "max-inflight");
+    if (opts.count("tick-ms"))
+      net_config.tick_ms = integer_option<int>(opts, "tick-ms", 1);
+    if (opts.count("idle-ticks"))
+      net_config.idle_timeout_ticks =
+          integer_option<std::uint64_t>(opts, "idle-ticks");
+    if (opts.count("drain-ticks"))
+      net_config.drain_timeout_ticks =
+          integer_option<std::uint64_t>(opts, "drain-ticks");
+    // The request budget mirrors the service deadline so socket callers get
+    // the same per-request guarantee as batch callers.
+    net_config.request_deadline_ns = config.deadline_ns;
+
+    supervise::SuperviseConfig sup;
+    if (opts.count("workers"))
+      sup.workers = integer_option<std::size_t>(opts, "workers", 1);
+    if (opts.count("rlimit-as-mb"))
+      sup.limits.rlimit_as_bytes =
+          integer_option<std::uint64_t>(opts, "rlimit-as-mb", 0,
+                                        UINT64_MAX >> 20)
+          << 20;
+    if (opts.count("rlimit-cpu-s"))
+      sup.limits.rlimit_cpu_seconds =
+          integer_option<std::uint64_t>(opts, "rlimit-cpu-s");
 
     // Durable content-addressed solve cache: the segment file is
     // recovered/repaired here, before any server thread exists.
@@ -364,31 +411,12 @@ int main(int argc, char** argv) {
                   "and with --batch");
       return usage();
     }
-    net::NetConfig net_config;
     if (opts.count("listen")) {
       net_config.endpoint.kind = net::Endpoint::Kind::kUnix;
       net_config.endpoint.path = opts["listen"];
     } else {
       net_config.endpoint.kind = net::Endpoint::Kind::kTcp;
-      net_config.endpoint.port = integer_option<std::uint16_t>(opts, "tcp");
     }
-    if (opts.count("max-connections"))
-      net_config.max_connections =
-          integer_option<std::size_t>(opts, "max-connections");
-    if (opts.count("max-inflight"))
-      net_config.max_inflight_total =
-          integer_option<std::size_t>(opts, "max-inflight");
-    if (opts.count("tick-ms"))
-      net_config.tick_ms = integer_option<int>(opts, "tick-ms");
-    if (opts.count("idle-ticks"))
-      net_config.idle_timeout_ticks =
-          integer_option<std::uint64_t>(opts, "idle-ticks");
-    if (opts.count("drain-ticks"))
-      net_config.drain_timeout_ticks =
-          integer_option<std::uint64_t>(opts, "drain-ticks");
-    // The request budget mirrors the service deadline so socket callers get
-    // the same per-request guarantee as batch callers.
-    net_config.request_deadline_ns = config.deadline_ns;
 
     if (!isolate) {
       service::Server server(config);
@@ -404,17 +432,7 @@ int main(int argc, char** argv) {
                         [&server] { return server.service_json(); });
     }
 
-    supervise::SuperviseConfig sup;
     sup.service = config;  // the CHILD-side service configuration
-    if (opts.count("workers"))
-      sup.workers = integer_option<std::size_t>(opts, "workers");
-    if (opts.count("rlimit-as-mb"))
-      sup.limits.rlimit_as_bytes =
-          integer_option<std::uint64_t>(opts, "rlimit-as-mb", UINT64_MAX >> 20)
-          << 20;
-    if (opts.count("rlimit-cpu-s"))
-      sup.limits.rlimit_cpu_seconds =
-          integer_option<std::uint64_t>(opts, "rlimit-cpu-s");
     if (opts.count("crash-faults") &&
         !parse_crash_faults(opts["crash-faults"], sup.limits.child_fault)) {
       print_error("--crash-faults: unknown kind in '" +

@@ -53,6 +53,8 @@ Server::Server(NetConfig config)
     : config_(std::move(config)), shared_(std::make_shared<Shared>()) {
   if (!config_.handler)
     throw std::invalid_argument("net/server: NetConfig::handler is empty");
+  if (config_.tick_ms < 1)
+    throw std::invalid_argument("net/server: NetConfig::tick_ms < 1");
   if (!make_selfpipe(wake_read_, shared_->wake_fd)) {
     core::SolverDiag diag;
     const std::string what =
@@ -98,8 +100,8 @@ std::uint64_t Server::now_tick() const {
   const auto elapsed = std::chrono::steady_clock::now() - epoch_;
   const auto ms =
       std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count();
-  const int tick_ms = config_.tick_ms > 0 ? config_.tick_ms : 1;
-  return static_cast<std::uint64_t>(ms) / static_cast<std::uint64_t>(tick_ms);
+  return static_cast<std::uint64_t>(ms) /
+         static_cast<std::uint64_t>(config_.tick_ms);
 }
 
 NetStats Server::run() {
@@ -168,8 +170,7 @@ NetStats Server::run() {
         pfd_conn.push_back(conn.id());
       }
 
-      const int tick_ms = config_.tick_ms > 0 ? config_.tick_ms : 1;
-      poll_wait(pfds.data(), pfds.size(), tick_ms);
+      poll_wait(pfds.data(), pfds.size(), config_.tick_ms);
 
       if ((pfds[0].revents & POLLIN) != 0) drain_selfpipe(wake_read_.get());
       if (listener_.listening() && first_conn == 2 &&
@@ -208,7 +209,7 @@ NetStats Server::run() {
     drain_cancel_.request_cancel();
     while (shared_->outstanding.load(std::memory_order_acquire) != 0) {
       pollfd pfd{wake_read_.get(), POLLIN, 0};
-      poll_wait(&pfd, 1, config_.tick_ms > 0 ? config_.tick_ms : 1);
+      poll_wait(&pfd, 1, config_.tick_ms);
       drain_selfpipe(wake_read_.get());
     }
     listener_.stop();
@@ -412,9 +413,8 @@ void Server::dispatch_request(Connection& conn, std::uint64_t seq,
   // would kill the connection for anyway is not worth computing. The
   // product saturates: a budget past 2^64 ns means "never", not whatever
   // the product wraps to.
-  const int tick_ms = config_.tick_ms > 0 ? config_.tick_ms : 1;
   const std::uint64_t tick_ns =
-      static_cast<std::uint64_t>(tick_ms) * 1000000ull;
+      static_cast<std::uint64_t>(config_.tick_ms) * 1000000ull;
   const std::uint64_t eviction_ns =
       config_.idle_timeout_ticks > UINT64_MAX / tick_ns
           ? UINT64_MAX

@@ -87,7 +87,8 @@ struct NetConfig {
   /// Server-wide in-flight solve cap. Keep below the pool's queue high
   /// water (parallel::queue_high_water) so dispatch never blocks the loop.
   std::size_t max_inflight_total = 128;
-  /// Logical tick length [ms]: poll granularity and the reaper time base.
+  /// Logical tick length [ms], at least 1 (the constructor refuses less):
+  /// poll granularity and the reaper time base.
   int tick_ms = 50;
   /// Ticks a connection may sit idle, stall mid-frame, or leave replies
   /// unread before eviction (kDeadlineExceeded).
@@ -132,8 +133,9 @@ struct NetStats {
 
 class Server {
  public:
-  /// Throws std::invalid_argument when config.handler is empty, and
-  /// dsmt::SolveError (kInvalidInput) when the self-pipe cannot be made.
+  /// Throws std::invalid_argument when config.handler is empty or
+  /// config.tick_ms < 1, and dsmt::SolveError (kInvalidInput) when the
+  /// self-pipe cannot be made.
   explicit Server(NetConfig config);
   ~Server();
   Server(const Server&) = delete;

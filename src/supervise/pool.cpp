@@ -8,6 +8,7 @@
 #include <csignal>
 #include <exception>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -88,6 +89,8 @@ SuperviseConfig strip_child_cache(SuperviseConfig config) {
 
 WorkerPool::WorkerPool(SuperviseConfig config)
     : config_(strip_child_cache(std::move(config))) {
+  if (config_.workers == 0)
+    throw std::invalid_argument("supervise/pool: SuperviseConfig::workers is 0");
   payload_cap_ = probe_payload_cap(config_.max_payload_bytes);
   // The broker is forked HERE, in the constructor's single-threaded window
   // — the one point where fork() cannot race another thread holding a lock
@@ -98,7 +101,7 @@ WorkerPool::WorkerPool(SuperviseConfig config)
                                          payload_cap_);
   {
     MutexLock lock(mu_);
-    slots_.resize(config_.workers == 0 ? 1 : config_.workers);
+    slots_.resize(config_.workers);
     // A slot whose initial spawn fails stays dead and is retried on first
     // lease.
     for (Slot& slot : slots_)

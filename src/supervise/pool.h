@@ -66,7 +66,7 @@
 namespace dsmt::supervise {
 
 struct SuperviseConfig {
-  std::size_t workers = 2;             ///< forked worker children
+  std::size_t workers = 2;  ///< forked worker children, at least 1
   service::ServerConfig service{};  ///< child-side config, solve_cache dropped
   /// Cap on one IPC datagram past kMessageOverheadBytes [bytes], in both
   /// directions: a reply's JSON, a request's id and key. The pool clamps
@@ -114,6 +114,7 @@ struct ExecuteResult {
 
 class WorkerPool {
  public:
+  /// Throws std::invalid_argument when config.workers is 0.
   explicit WorkerPool(SuperviseConfig config);
   ~WorkerPool();
   WorkerPool(const WorkerPool&) = delete;

@@ -656,6 +656,17 @@ TEST(NetServer, RefusesAConfigWithoutAHandler) {
   EXPECT_THROW(net::Server{net::NetConfig{}}, std::invalid_argument);
 }
 
+TEST(NetServer, RefusesATickShorterThanOneMillisecond) {
+  for (const int tick_ms : {0, -5}) {
+    net::NetConfig config;
+    config.handler = [](const service::Request&, std::uint64_t) {
+      return std::string{};
+    };
+    config.tick_ms = tick_ms;
+    EXPECT_THROW(net::Server{config}, std::invalid_argument) << tick_ms;
+  }
+}
+
 TEST_F(NetServerTest, CountsTheReplyOfAPeerThatResetWithWorkInFlight) {
   // The handler holds "held" until the peer's reset has closed its
   // connection, so the finished reply has no socket left to go to.

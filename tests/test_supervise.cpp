@@ -22,6 +22,7 @@
 #include <initializer_list>
 #include <regex>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -492,6 +493,10 @@ TEST(SuperviseWorker, MalformedDatagramGetsTypedReplyAndTheLoopKeepsServing) {
 }
 
 // --- clean path --------------------------------------------------------------
+
+TEST(WorkerPool, RefusesZeroWorkers) {
+  EXPECT_THROW(WorkerPool{quiet_pool(0)}, std::invalid_argument);
+}
 
 TEST(WorkerPool, CleanRoundTripForwardsDeterministicWorkerBytes) {
   WorkerPool pool(quiet_pool(1));
