@@ -7,8 +7,9 @@
 // invalid-input family. Every lane must end in exactly one typed outcome —
 // a converged Solution, std::invalid_argument from validate(), or a
 // SolveError carrying a non-OK status and its chain — and parallel_map of
-// solve over the lanes must give the same bits, iterations, chains and
-// what() text at 1 and 8 threads, also under armed fault plans.
+// solve over the lanes (the batch) must give the same bits, iterations,
+// chains and what() text as a plain loop of solve (the scalar reference)
+// and as itself at every thread count, also under armed fault plans.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -138,6 +139,14 @@ Outcome run(const Problem& p) {
   return o;
 }
 
+/// A plain serial loop of solve over `ps`: the scalar reference.
+std::vector<Outcome> run_scalar(const std::vector<Problem>& ps) {
+  std::vector<Outcome> out;
+  out.reserve(ps.size());
+  for (const Problem& p : ps) out.push_back(run(p));
+  return out;
+}
+
 /// parallel_map of solve over `ps` at `threads` threads.
 std::vector<Outcome> run_all(const std::vector<Problem>& ps,
                              std::size_t threads) {
@@ -250,11 +259,17 @@ void expect_typed_outcomes(const std::vector<Outcome>& outcomes) {
 }
 
 // ---------------------------------------------------------------------------
-TEST(SolveProperty, FirstSeedLanesEndInOneTypedOutcome) {
+// The headline differential: 2,500 randomized lanes, each ending in one typed
+// outcome, and the batch bit for bit equal to the scalar loop at serial and
+// parallel thread counts.
+TEST(BatchDifferential, RandomizedLanesMatchScalarBitwise) {
   const std::vector<Problem> ps = random_problems(kFirstSeed, kLanes);
-  const std::vector<Outcome> serial = run_all(ps, 1);
-  expect_typed_outcomes(serial);
-  expect_same_outcomes(run_all(ps, 8), serial);
+  const std::vector<Outcome> scalar = run_scalar(ps);
+  expect_typed_outcomes(scalar);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    expect_same_outcomes(run_all(ps, threads), scalar);
+  }
 }
 
 // A second seed catches generator-shaped blind spots cheaply.
@@ -263,6 +278,17 @@ TEST(SolveProperty, SecondSeedLanesEndInOneTypedOutcome) {
   const std::vector<Outcome> serial = run_all(ps, 1);
   expect_typed_outcomes(serial);
   expect_same_outcomes(run_all(ps, 8), serial);
+}
+
+// The static block decomposition makes thread count invisible: every lane's
+// outcome is identical at 1, 2, 3, 5 and 8 threads.
+TEST(BatchProperty, ThreadCountInvariance) {
+  const std::vector<Problem> ps = random_problems(0x7EADULL, 700);
+  const std::vector<Outcome> base = run_all(ps, 1);
+  for (const std::size_t threads : {2u, 3u, 5u, 8u}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    expect_same_outcomes(run_all(ps, threads), base);
+  }
 }
 
 // The recovery chain must actually have been exercised by the generator:
