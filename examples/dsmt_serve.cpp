@@ -57,7 +57,6 @@
 // byte-verbatim).
 #include <algorithm>
 #include <cerrno>
-#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -70,9 +69,9 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <system_error>
 #include <vector>
 
+#include "core/cli.h"
 #include "net/server.h"
 #include "net/wire.h"
 #include "numeric/fault_injection.h"
@@ -97,24 +96,15 @@ constexpr const char* kValueOptions[] = {
     "max-inflight", "tick-ms",      "idle-ticks",   "drain-ticks",
     "workers",      "rlimit-as-mb", "rlimit-cpu-s", "crash-faults"};
 
-/// The value of --name as one whole base-10 T in [min, max]; an unsigned T
-/// takes no sign. Anything else ("1e3", "-1" for a count, "0" for a tick,
-/// "70000" for a port, trailing bytes, overflow) throws, so main exits 2
-/// naming the option instead of serving a misread number.
+/// The value of --name under core::integer_option's rule ("0" for a tick
+/// is out of range too), so main exits 2 naming the option instead of
+/// serving a misread number.
 template <typename T>
 T integer_option(const std::map<std::string, std::string>& opts,
                  const std::string& name,
                  T min = std::numeric_limits<T>::lowest(),
                  T max = std::numeric_limits<T>::max()) {
-  const std::string& text = opts.at(name);
-  const char* end = text.data() + text.size();
-  T value{};
-  const std::from_chars_result parsed =
-      std::from_chars(text.data(), end, value);
-  if (parsed.ec != std::errc{} || parsed.ptr != end || value < min ||
-      value > max)
-    throw std::invalid_argument("invalid value '" + text + "' for --" + name);
-  return value;
+  return core::integer_option<T>(name, opts.at(name), min, max);
 }
 
 int usage(bool to_stdout = false) {

@@ -41,12 +41,6 @@ struct sigaction g_old_int;
 /// is a well-formed typed frame, so no failure mode is a silent drop.
 constexpr const char* kWhere = "net/server";
 
-/// The request id of a parsed-but-possibly-malformed payload, best effort.
-std::string probe_id(const report::Json& doc) {
-  const report::Json* id = doc.find("id");
-  return (id != nullptr && id->is_string()) ? id->as_string() : std::string{};
-}
-
 }  // namespace
 
 Server::Server(NetConfig config)
@@ -327,11 +321,11 @@ void Server::handle_read_event(Connection& conn, ReadEvent event) {
                          std::move(violation))));
 }
 
-std::string Server::ping_reply_frame(const report::Json& doc) {
+std::string Server::ping_reply_frame(std::string id) {
   report::Json degradation = report::Json::object();
   degradation.set("analytic_bound", report::Json::boolean(true));
   report::Json root = report::Json::object();
-  root.set("id", report::Json::string(probe_id(doc)))
+  root.set("id", report::Json::string(std::move(id)))
       .set("kind", report::Json::string("ping"))
       .set("status", report::Json::string(
                          core::status_name(core::StatusCode::kOk)))
@@ -352,9 +346,9 @@ std::string Server::ping_reply_frame(const report::Json& doc) {
 
 void Server::dispatch_frame(Connection& conn, const std::string& payload) {
   const std::uint64_t seq = conn.next_seq();
-  report::Json doc;
+  service::RequestDocument doc;
   try {
-    doc = report::Json::parse(payload);
+    doc = service::RequestDocument::parse(payload);
   } catch (const SolveError& e) {
     ++stats_.invalid_requests;
     conn.enqueue_reply(seq, response_frame(service::failure_response(
@@ -364,25 +358,24 @@ void Server::dispatch_frame(Connection& conn, const std::string& payload) {
     return;
   }
 
-  const report::Json* kind = doc.find("kind");
-  if (kind != nullptr && kind->is_string() && kind->as_string() == "ping") {
+  if (doc.is_ping()) {
     ++stats_.pings;
-    conn.enqueue_reply(seq, ping_reply_frame(doc));
+    conn.enqueue_reply(seq, ping_reply_frame(doc.id()));
     return;
   }
 
   service::Request request;
   try {
-    request = service::request_from_json(doc);
+    request = doc.decode();
   } catch (const SolveError& e) {
     ++stats_.invalid_requests;
     conn.enqueue_reply(seq, response_frame(service::failure_response(
-                                probe_id(doc), e.status(), kWhere, e.what())));
+                                doc.id(), e.status(), kWhere, e.what())));
     return;
   } catch (const std::exception& e) {
     ++stats_.invalid_requests;
     conn.enqueue_reply(seq, response_frame(service::failure_response(
-                                probe_id(doc), core::StatusCode::kInvalidInput,
+                                doc.id(), core::StatusCode::kInvalidInput,
                                 kWhere,
                                 std::string("invalid request: ") + e.what())));
     return;

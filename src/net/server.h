@@ -193,7 +193,7 @@ class Server {
   void reap(std::uint64_t now_tick);
   void evict(Connection& conn, std::uint64_t& counter, const char* why);
   void accept_ready();
-  std::string ping_reply_frame(const report::Json& doc);
+  std::string ping_reply_frame(std::string id);
   std::uint64_t now_tick() const;
 
   const NetConfig config_;

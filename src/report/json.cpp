@@ -155,266 +155,368 @@ Json& Json::push(Json value) {
   return *this;
 }
 
-namespace {
+Json Json::parse(const std::string& text) {
+  JsonReader in(text);
+  Json doc = build(in);
+  in.finish();
+  return doc;
+}
 
-/// Recursive-descent JSON parser. Strict: one document, no trailing bytes,
-/// nesting bounded so a deep adversarial input cannot blow the stack.
-class Parser {
- public:
-  explicit Parser(const std::string& text) : text_(text) {}
-
-  Json parse_document() {
-    Json value = parse_value(0);
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing bytes after document");
-    return value;
-  }
-
- private:
-  static constexpr int kMaxDepth = 64;
-
-  [[noreturn]] void fail(const std::string& what) const {
-    throw_json_error("report/json/parse",
-                     "parse error at offset " + std::to_string(pos_) + ": " +
-                         what,
-                     core::StatusCode::kInvalidInput);
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == ' ' || c == '\t' || c == '\n' || c == '\r')
-        ++pos_;
-      else
-        break;
-    }
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  bool consume_literal(const char* lit) {
-    std::size_t n = 0;
-    while (lit[n] != '\0') ++n;
-    if (text_.compare(pos_, n, lit) != 0) return false;
-    pos_ += n;
-    return true;
-  }
-
-  Json parse_value(int depth) {
-    if (depth > kMaxDepth) fail("nesting deeper than 64 levels");
-    skip_ws();
-    const char c = peek();
-    switch (c) {
-      case '{': return parse_object(depth);
-      case '[': return parse_array(depth);
-      case '"': return Json::string(parse_string());
-      case 't':
-        if (!consume_literal("true")) fail("bad literal");
-        return Json::boolean(true);
-      case 'f':
-        if (!consume_literal("false")) fail("bad literal");
-        return Json::boolean(false);
-      case 'n':
-        if (!consume_literal("null")) fail("bad literal");
-        return Json::null();
-      default: return parse_number();
-    }
-  }
-
-  Json parse_object(int depth) {
-    expect('{');
-    Json obj = Json::object();
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
+Json Json::build(JsonReader& in) {
+  switch (in.peek()) {
+    case JsonReader::Type::kObject: {
+      Json obj = object();
+      in.begin_object();
+      while (in.next_member()) {
+        std::string key(in.key());
+        Json value = build(in);
+        obj.members_.emplace_back(std::move(key), std::move(value));
+      }
       return obj;
     }
-    for (;;) {
-      skip_ws();
-      if (peek() != '"') fail("expected member key string");
-      std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      // RFC 8259 leaves duplicate-key semantics to the implementation; a
-      // strict parser rejects them so the same document can never mean
-      // first-wins here and last-wins in another consumer.
-      if (obj.find(key) != nullptr)
-        fail("duplicate object key '" + key + "'");
-      obj.set(key, parse_value(depth + 1));
-      skip_ws();
-      const char sep = peek();
-      ++pos_;
-      if (sep == '}') return obj;
-      if (sep != ',') fail("expected ',' or '}' in object");
-    }
-  }
-
-  Json parse_array(int depth) {
-    expect('[');
-    Json arr = Json::array();
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
+    case JsonReader::Type::kArray: {
+      Json arr = array();
+      in.begin_array();
+      while (in.next_item()) arr.items_.push_back(build(in));
       return arr;
     }
-    for (;;) {
-      arr.push(parse_value(depth + 1));
-      skip_ws();
-      const char sep = peek();
-      ++pos_;
-      if (sep == ']') return arr;
-      if (sep != ',') fail("expected ',' or ']' in array");
-    }
+    case JsonReader::Type::kScalar:
+      break;
   }
+  return in.scalar();
+}
 
-  unsigned parse_hex4() {
-    unsigned value = 0;
-    for (int i = 0; i < 4; ++i) {
-      const char c = peek();
+void JsonReader::fail(const std::string& what) const {
+  throw_json_error("report/json/parse",
+                   "parse error at offset " + std::to_string(pos_) + ": " +
+                       what,
+                   core::StatusCode::kInvalidInput);
+}
+
+void JsonReader::skip_ws() {
+  while (pos_ < text_.size()) {
+    const char c = text_[pos_];
+    if (c == ' ' || c == '\t' || c == '\n' || c == '\r')
       ++pos_;
-      value <<= 4;
-      if (c >= '0' && c <= '9')
-        value |= static_cast<unsigned>(c - '0');
-      else if (c >= 'a' && c <= 'f')
-        value |= static_cast<unsigned>(c - 'a' + 10);
-      else if (c >= 'A' && c <= 'F')
-        value |= static_cast<unsigned>(c - 'A' + 10);
-      else
-        fail("bad \\u escape digit");
-    }
-    return value;
+    else
+      break;
   }
+}
 
-  void append_utf8(std::string& out, unsigned cp) {
-    if (cp < 0x80) {
-      out += static_cast<char>(cp);
-    } else if (cp < 0x800) {
-      out += static_cast<char>(0xC0 | (cp >> 6));
-      out += static_cast<char>(0x80 | (cp & 0x3F));
-    } else if (cp < 0x10000) {
-      out += static_cast<char>(0xE0 | (cp >> 12));
-      out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (cp & 0x3F));
-    } else {
-      out += static_cast<char>(0xF0 | (cp >> 18));
-      out += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
-      out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (cp & 0x3F));
-    }
+char JsonReader::current() {
+  if (pos_ >= text_.size()) fail("unexpected end of input");
+  return text_[pos_];
+}
+
+void JsonReader::expect(char c) {
+  if (current() != c) fail(std::string("expected '") + c + "'");
+  ++pos_;
+}
+
+bool JsonReader::consume_literal(std::string_view literal) {
+  if (text_.compare(pos_, literal.size(), literal) != 0) return false;
+  pos_ += literal.size();
+  return true;
+}
+
+// Strict: one document, no trailing bytes, nesting bounded so a deep
+// adversarial input cannot blow the stack of a recursive caller.
+JsonReader::Type JsonReader::peek() {
+  if (depth_ > kMaxDepth) fail("nesting deeper than 64 levels");
+  skip_ws();
+  switch (current()) {
+    case '{': return Type::kObject;
+    case '[': return Type::kArray;
+    default: return Type::kScalar;
   }
+}
 
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_];
+void JsonReader::begin_object() { open_level('{'); }
+
+void JsonReader::begin_array() { open_level('['); }
+
+void JsonReader::open_level(char bracket) {
+  peek();
+  expect(bracket);
+  levels_[depth_++] = Level{key_count_, decoded_keys_.size(), true};
+}
+
+void JsonReader::close_level() {
+  const Level& level = levels_[--depth_];
+  key_count_ = level.key_base;
+  decoded_keys_.resize(level.decoded_base);
+}
+
+bool JsonReader::next_member() {
+  Level& level = levels_[depth_ - 1];
+  skip_ws();
+  if (level.first) {
+    level.first = false;
+    if (current() == '}') {
       ++pos_;
-      if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20)
-        fail("raw control character in string");
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      const char esc = peek();
-      ++pos_;
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          unsigned cp = parse_hex4();
-          if (cp >= 0xD800 && cp <= 0xDBFF) {
-            // High surrogate: must be followed by \uDC00-\uDFFF.
-            if (pos_ + 1 >= text_.size() || text_[pos_] != '\\' ||
-                text_[pos_ + 1] != 'u')
-              fail("unpaired high surrogate");
-            pos_ += 2;
-            const unsigned lo = parse_hex4();
-            if (lo < 0xDC00 || lo > 0xDFFF) fail("bad low surrogate");
-            cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-          } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
-            fail("unpaired low surrogate");
-          }
-          append_utf8(out, cp);
-          break;
-        }
-        default: fail("bad escape character");
-      }
+      close_level();
+      return false;
     }
+  } else {
+    const char sep = current();
+    ++pos_;
+    if (sep == '}') {
+      close_level();
+      return false;
+    }
+    if (sep != ',') fail("expected ',' or '}' in object");
   }
-
-  bool digit_at(std::size_t p) const {
-    return p < text_.size() && text_[p] >= '0' && text_[p] <= '9';
+  skip_ws();
+  if (current() != '"') fail("expected member key string");
+  const std::string_view key = read_key();
+  skip_ws();
+  expect(':');
+  // RFC 8259 leaves duplicate-key semantics to the implementation; a
+  // strict reader rejects them so the same document can never mean
+  // first-wins here and last-wins in another consumer.
+  for (std::size_t i = level.key_base; i < key_count_; ++i)
+    if (keys_[i] == key)
+      fail("duplicate object key '" + std::string(key) + "'");
+  if (key_count_ == keys_.size()) {
+    if (keys_.empty()) keys_.reserve(16);
+    keys_.push_back(key);
+  } else {
+    keys_[key_count_] = key;
   }
+  ++key_count_;
+  return true;
+}
 
-  Json parse_number() {
-    // RFC 8259 grammar, enforced here rather than delegated to strtod:
-    // int = "0" / digit1-9 *DIGIT (no leading zeros), frac/exp each require
-    // at least one digit.
-    const std::size_t start = pos_;
-    bool integral = true;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    if (!digit_at(pos_)) fail("bad number");
-    if (text_[pos_] == '0') {
-      ++pos_;
-      if (digit_at(pos_)) fail("leading zero in number");
-    } else {
-      while (digit_at(pos_)) ++pos_;
-    }
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      integral = false;
-      ++pos_;
-      if (!digit_at(pos_)) fail("expected digit after decimal point");
-      while (digit_at(pos_)) ++pos_;
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      integral = false;
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-'))
-        ++pos_;
-      if (!digit_at(pos_)) fail("expected digit in exponent");
-      while (digit_at(pos_)) ++pos_;
-    }
-    const std::string token = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    if (integral) {
-      errno = 0;
-      const long long v = std::strtoll(token.c_str(), &end, 10);
-      // On overflow strtoll still consumes the token and clamps to
-      // LLONG_MIN/MAX with errno == ERANGE; that literal is not
-      // representable as long long, so fall through to double.
-      if (errno != ERANGE && end != nullptr && *end == '\0')
-        return Json::integer(v);
-    }
-    end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0') fail("bad number '" + token + "'");
-    if (!std::isfinite(v)) fail("number overflows to non-finite");
-    return Json::number(v);
+bool JsonReader::next_item() {
+  Level& level = levels_[depth_ - 1];
+  skip_ws();
+  if (level.first) {
+    level.first = false;
+    if (current() != ']') return true;
+    ++pos_;
+    close_level();
+    return false;
   }
+  const char sep = current();
+  ++pos_;
+  if (sep == ']') {
+    close_level();
+    return false;
+  }
+  if (sep != ',') fail("expected ',' or ']' in array");
+  return true;
+}
 
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
+Json JsonReader::scalar() {
+  peek();
+  switch (text_[pos_]) {
+    case '"': {
+      std::string value;
+      read_string(value);
+      return Json::string(std::move(value));
+    }
+    case 't':
+      if (!consume_literal("true")) fail("bad literal");
+      return Json::boolean(true);
+    case 'f':
+      if (!consume_literal("false")) fail("bad literal");
+      return Json::boolean(false);
+    case 'n':
+      if (!consume_literal("null")) fail("bad literal");
+      return Json::null();
+    default: return number();
+  }
+}
+
+void JsonReader::skip() {
+  switch (peek()) {
+    case Type::kObject:
+      begin_object();
+      while (next_member()) skip();
+      return;
+    case Type::kArray:
+      begin_array();
+      while (next_item()) skip();
+      return;
+    case Type::kScalar:
+      scalar();
+      return;
+  }
+}
+
+void JsonReader::finish() {
+  skip_ws();
+  if (pos_ != text_.size()) fail("trailing bytes after document");
+}
+
+unsigned JsonReader::hex4() {
+  unsigned value = 0;
+  for (int i = 0; i < 4; ++i) {
+    const char c = current();
+    ++pos_;
+    value <<= 4;
+    if (c >= '0' && c <= '9')
+      value |= static_cast<unsigned>(c - '0');
+    else if (c >= 'a' && c <= 'f')
+      value |= static_cast<unsigned>(c - 'a' + 10);
+    else if (c >= 'A' && c <= 'F')
+      value |= static_cast<unsigned>(c - 'A' + 10);
+    else
+      fail("bad \\u escape digit");
+  }
+  return value;
+}
+
+namespace {
+
+void append_utf8(std::string& out, unsigned cp) {
+  if (cp < 0x80) {
+    out += static_cast<char>(cp);
+  } else if (cp < 0x800) {
+    out += static_cast<char>(0xC0 | (cp >> 6));
+    out += static_cast<char>(0x80 | (cp & 0x3F));
+  } else if (cp < 0x10000) {
+    out += static_cast<char>(0xE0 | (cp >> 12));
+    out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+    out += static_cast<char>(0x80 | (cp & 0x3F));
+  } else {
+    out += static_cast<char>(0xF0 | (cp >> 18));
+    out += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
+    out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+    out += static_cast<char>(0x80 | (cp & 0x3F));
+  }
+}
+
 }  // namespace
 
-Json Json::parse(const std::string& text) {
-  return Parser(text).parse_document();
+std::size_t JsonReader::plain_end(std::size_t from) const {
+  while (from < text_.size()) {
+    const unsigned char c = static_cast<unsigned char>(text_[from]);
+    if (c == '"' || c == '\\' || c < 0x20) break;
+    ++from;
+  }
+  return from;
+}
+
+void JsonReader::read_string(std::string& out) {
+  out.clear();
+  expect('"');
+  for (;;) {
+    // Append the run of bytes that need no decoding in one piece.
+    const std::size_t run = pos_;
+    pos_ = plain_end(pos_);
+    out.append(text_.data() + run, pos_ - run);
+    if (pos_ >= text_.size()) fail("unterminated string");
+    const char c = text_[pos_];
+    ++pos_;
+    if (c == '"') return;
+    if (c != '\\') fail("raw control character in string");
+    const char esc = current();
+    ++pos_;
+    switch (esc) {
+      case '"': out += '"'; break;
+      case '\\': out += '\\'; break;
+      case '/': out += '/'; break;
+      case 'b': out += '\b'; break;
+      case 'f': out += '\f'; break;
+      case 'n': out += '\n'; break;
+      case 'r': out += '\r'; break;
+      case 't': out += '\t'; break;
+      case 'u': {
+        unsigned cp = hex4();
+        if (cp >= 0xD800 && cp <= 0xDBFF) {
+          // High surrogate: must be followed by \uDC00-\uDFFF.
+          if (pos_ + 1 >= text_.size() || text_[pos_] != '\\' ||
+              text_[pos_ + 1] != 'u')
+            fail("unpaired high surrogate");
+          pos_ += 2;
+          const unsigned lo = hex4();
+          if (lo < 0xDC00 || lo > 0xDFFF) fail("bad low surrogate");
+          cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+        } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
+          fail("unpaired low surrogate");
+        }
+        append_utf8(out, cp);
+        break;
+      }
+      default: fail("bad escape character");
+    }
+  }
+}
+
+std::string_view JsonReader::read_key() {
+  // Most names have no escapes: view them in place.
+  const std::size_t begin = pos_ + 1;  // after the opening quote
+  const std::size_t end = plain_end(begin);
+  if (end < text_.size() && text_[end] == '"') {
+    pos_ = end + 1;
+    return text_.substr(begin, end - begin);
+  }
+  decoded_keys_.push_back(std::make_unique<std::string>());
+  read_string(*decoded_keys_.back());
+  return *decoded_keys_.back();
+}
+
+Json JsonReader::number() {
+  // RFC 8259 grammar, enforced here rather than delegated to strtod:
+  // int = "0" / digit1-9 *DIGIT (no leading zeros), frac/exp each require
+  // at least one digit.
+  const auto digit_at = [this](std::size_t p) {
+    return p < text_.size() && text_[p] >= '0' && text_[p] <= '9';
+  };
+  const std::size_t start = pos_;
+  bool integral = true;
+  if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
+  if (!digit_at(pos_)) fail("bad number");
+  if (text_[pos_] == '0') {
+    ++pos_;
+    if (digit_at(pos_)) fail("leading zero in number");
+  } else {
+    while (digit_at(pos_)) ++pos_;
+  }
+  if (pos_ < text_.size() && text_[pos_] == '.') {
+    integral = false;
+    ++pos_;
+    if (!digit_at(pos_)) fail("expected digit after decimal point");
+    while (digit_at(pos_)) ++pos_;
+  }
+  if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+    integral = false;
+    ++pos_;
+    if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-'))
+      ++pos_;
+    if (!digit_at(pos_)) fail("expected digit in exponent");
+    while (digit_at(pos_)) ++pos_;
+  }
+  // strtoll/strtod need the token NUL-terminated on its own: the bytes
+  // after it ("0x1F") must not extend what they read.
+  const std::string_view token = text_.substr(start, pos_ - start);
+  char small[32];
+  std::string large;
+  const char* digits = small;
+  if (token.size() < sizeof small) {
+    token.copy(small, token.size());
+    small[token.size()] = '\0';
+  } else {
+    large = token;
+    digits = large.c_str();
+  }
+  char* end = nullptr;
+  if (integral) {
+    errno = 0;
+    const long long v = std::strtoll(digits, &end, 10);
+    // On overflow strtoll still consumes the token and clamps to
+    // LLONG_MIN/MAX with errno == ERANGE; that literal is not
+    // representable as long long, so fall through to double.
+    if (errno != ERANGE && end != nullptr && *end == '\0')
+      return Json::integer(v);
+  }
+  end = nullptr;
+  const double v = std::strtod(digits, &end);
+  if (end == nullptr || *end != '\0')
+    fail("bad number '" + std::string(token) + "'");
+  if (!std::isfinite(v)) fail("number overflows to non-finite");
+  return Json::number(v);
 }
 
 void Json::write_to(JsonWriter& writer) const {

@@ -15,14 +15,17 @@
 // streamed batch document). Json::dump is JsonWriter walking the tree, so
 // the library has one escaper, one number formatter and one indenter.
 //
-// Reading (Json::parse) is a strict recursive-descent parser with a depth
-// bound; malformed input raises dsmt::SolveError (kInvalidInput) carrying
-// the byte offset. parse(dump(x)) round-trips every tree the builder can
-// produce, including adversarial strings (quotes, backslashes, control
-// characters, \uXXXX escapes).
+// Reading has one grammar, JsonReader: a strict pull reader with a depth
+// bound. Json::parse builds its tree from it, and decoders that know their
+// schema read straight into their own types with no tree (the service's
+// request decoder). Malformed input raises dsmt::SolveError (kInvalidInput)
+// carrying the byte offset. parse(dump(x)) round-trips every tree the
+// builder can produce, including adversarial strings (quotes, backslashes,
+// control characters, \uXXXX escapes).
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -30,6 +33,7 @@
 
 namespace dsmt::report {
 
+class JsonReader;
 class JsonWriter;
 
 /// A JSON value tree.
@@ -110,6 +114,84 @@ class Json {
 
   friend class JsonWriter;
   void write_to(JsonWriter& writer) const;
+  /// The value at the reader's position, as a tree.
+  static Json build(JsonReader& in);
+};
+
+/// Strict pull reader over one JSON document: the library's one JSON
+/// grammar. Read values in document order. peek() classifies the next value
+/// without consuming it; then one call reads that value whole:
+/// begin_object() or begin_array() (then next_member() or next_item() until
+/// it returns false, reading one value after each true), scalar(), or
+/// skip(). finish() rejects trailing bytes.
+///
+/// Malformed input throws dsmt::SolveError (kInvalidInput) reading "parse
+/// error at offset N: ..." (diag kernel "report/json/parse"). Duplicate keys
+/// are rejected in every object, skipped ones included, and so are nesting
+/// deeper than 64 levels and numbers that overflow to non-finite.
+class JsonReader {
+ public:
+  enum class Type { kObject, kArray, kScalar };
+
+  explicit JsonReader(std::string_view text) : text_(text) {}
+
+  /// Enforces the depth bound and skips whitespace; consumes nothing else.
+  /// A byte that starts no value reads as kScalar, and scalar() rejects it.
+  Type peek();
+  void begin_object();
+  /// Reads the separator, name and colon of the next member: true with
+  /// key() naming it, or false after the object's closing brace.
+  bool next_member();
+  /// The name next_member() just read; valid until the next call.
+  std::string_view key() const { return keys_[key_count_ - 1]; }
+  void begin_array();
+  /// Reads the separator before the next element: true when an element
+  /// follows, false after the array's closing bracket.
+  bool next_item();
+  /// A string, number or literal. An integral token that fits long long
+  /// is an integer leaf (strtoll), anything else a number (strtod).
+  Json scalar();
+  /// Reads and checks the next value, whatever it is, keeping nothing.
+  void skip();
+  /// Rejects anything but whitespace after the document.
+  void finish();
+
+ private:
+  /// Values nest at most this deep; one more level is an error.
+  static constexpr std::size_t kMaxDepth = 64;
+
+  /// One open container.
+  struct Level {
+    std::size_t key_base;      ///< its first member name in keys_
+    std::size_t decoded_base;  ///< its first name in decoded_keys_
+    bool first;                ///< nothing has been read inside it yet
+  };
+
+  [[noreturn]] void fail(const std::string& what) const;
+  void skip_ws();
+  char current();
+  void expect(char c);
+  bool consume_literal(std::string_view literal);
+  unsigned hex4();
+  /// End of the run of string bytes from `from` that need no decoding.
+  std::size_t plain_end(std::size_t from) const;
+  void read_string(std::string& out);
+  std::string_view read_key();
+  Json number();
+  void open_level(char bracket);
+  void close_level();
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+  /// Open containers, outermost first: the depth bound keeps them inline.
+  Level levels_[kMaxDepth + 1] = {};
+  std::size_t depth_ = 0;
+  /// Member names of every open object, outermost first; the first
+  /// key_count_ are live. A name without escapes is a view of the text;
+  /// one with escapes views its decoded copy in decoded_keys_.
+  std::vector<std::string_view> keys_;
+  std::size_t key_count_ = 0;
+  std::vector<std::unique_ptr<std::string>> decoded_keys_;
 };
 
 /// Appends JSON text to a caller's string without building a tree. The

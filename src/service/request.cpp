@@ -1,9 +1,8 @@
 #include "service/request.h"
 
-#include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <initializer_list>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -30,23 +29,21 @@ std::string lower(std::string s) {
   return s;
 }
 
-double get_number(const report::Json& node, const char* key, double fallback) {
-  const report::Json* member = node.find(key);
-  return member != nullptr ? member->as_number() : fallback;
+using Member = std::optional<report::Json>;
+
+double get_number(const Member& member, double fallback) {
+  return member ? member->as_number() : fallback;
 }
 
-std::string get_string(const report::Json& node, const char* key,
-                       std::string fallback) {
-  const report::Json* member = node.find(key);
-  return member != nullptr ? member->as_string() : fallback;
+std::string get_string(const Member& member, std::string fallback) {
+  return member ? member->as_string() : fallback;
 }
 
 /// Integral member, validated before the narrowing cast: a client-supplied
 /// {"level": 1e300} or NaN must classify as bad_request, never reach a
 /// double->int conversion whose behavior is undefined out of range.
-int get_int(const report::Json& node, const char* key, int fallback) {
-  const report::Json* member = node.find(key);
-  if (member == nullptr) return fallback;
+int get_int(const Member& member, const char* key, int fallback) {
+  if (!member) return fallback;
   const double v = member->as_number();
   if (v != std::floor(v) || !(std::abs(v) <= 2147483647.0))
     bad_request(std::string("'") + key +
@@ -54,16 +51,52 @@ int get_int(const report::Json& node, const char* key, int fallback) {
   return static_cast<int>(v);
 }
 
-/// Rejects any member of the object `node` not named in `known`: a
-/// misspelled field must not silently answer a different question.
-void reject_unknown_members(const report::Json& node, const char* what,
-                            std::initializer_list<const char*> known) {
-  for (std::size_t i = 0; i < node.size(); ++i) {
-    const std::string& key = node.member(i).first;
-    if (std::none_of(known.begin(), known.end(),
-                     [&key](const char* name) { return key == name; }))
-      bad_request(std::string("unknown ") + what + " field '" + key + "'");
+// The members a request and its wire may carry, in the order their checks
+// run. Any other member is rejected: a misspelled field must not silently
+// answer a different question.
+enum RequestField : std::size_t {
+  kId, kKind, kDutyCycle, kJ0, kTRef, kWire, kTechnology, kLevel,
+  kDielectric
+};
+constexpr const char* kRequestFields[] = {
+    "id",   "kind",       "duty_cycle", "j0_MA_cm2", "t_ref_c",
+    "wire", "technology", "level",      "dielectric"};
+enum WireField : std::size_t {
+  kMetal, kWidth, kThickness, kDielectricThickness, kConductivity
+};
+constexpr const char* kWireFields[] = {"metal", "width_um", "thickness_um",
+                                       "dielectric_um", "k_dielectric"};
+
+/// Position of `name` in `names`, or N when it names no field.
+template <std::size_t N>
+std::size_t field_index(const char* const (&names)[N],
+                        std::string_view name) {
+  std::size_t i = 0;
+  while (i < N && name != names[i]) ++i;
+  return i;
+}
+
+/// A member's value as a request keeps it: a container reduced to an empty
+/// one of its type, which fails every check a container fails.
+report::Json leaf(const report::Json& value) {
+  if (value.is_object()) return report::Json::object();
+  if (value.is_array()) return report::Json::array();
+  return value;
+}
+
+/// The value at `in` as a request keeps it (leaf() without the tree).
+report::Json read_leaf(report::JsonReader& in) {
+  switch (in.peek()) {
+    case report::JsonReader::Type::kObject:
+      in.skip();
+      return report::Json::object();
+    case report::JsonReader::Type::kArray:
+      in.skip();
+      return report::Json::array();
+    case report::JsonReader::Type::kScalar:
+      break;
   }
+  return in.scalar();
 }
 
 RequestKind kind_from_name(const std::string& name) {
@@ -107,37 +140,119 @@ const char* kind_name(RequestKind kind) {
   return "unknown";
 }
 
-Request request_from_json(const report::Json& node) {
-  if (!node.is_object()) bad_request("request is not a JSON object");
-  reject_unknown_members(node, "request",
-                         {"id", "kind", "duty_cycle", "j0_MA_cm2", "t_ref_c",
-                          "wire", "technology", "level", "dielectric"});
-  Request r;
-  r.id = get_string(node, "id", "");
-  r.kind = kind_from_name(get_string(node, "kind", "self-consistent"));
-  r.duty_cycle = get_number(node, "duty_cycle", r.duty_cycle);
-  r.j0_MA_cm2 = get_number(node, "j0_MA_cm2", r.j0_MA_cm2);
-  r.t_ref_c = get_number(node, "t_ref_c", r.t_ref_c);
-  if (const report::Json* wire = node.find("wire")) {
-    if (!wire->is_object()) bad_request("'wire' is not a JSON object");
-    reject_unknown_members(*wire, "wire",
-                           {"metal", "width_um", "thickness_um",
-                            "dielectric_um", "k_dielectric"});
-    r.wire.metal = get_string(*wire, "metal", r.wire.metal);
-    r.wire.width_um = get_number(*wire, "width_um", r.wire.width_um);
-    r.wire.thickness_um =
-        get_number(*wire, "thickness_um", r.wire.thickness_um);
-    r.wire.dielectric_um =
-        get_number(*wire, "dielectric_um", r.wire.dielectric_um);
-    r.wire.k_dielectric =
-        get_number(*wire, "k_dielectric", r.wire.k_dielectric);
+RequestDocument RequestDocument::parse(std::string_view bytes) {
+  report::JsonReader in(bytes);
+  RequestDocument doc = from_reader(in);
+  in.finish();
+  return doc;
+}
+
+RequestDocument RequestDocument::from_reader(report::JsonReader& in) {
+  RequestDocument doc;
+  if (in.peek() != report::JsonReader::Type::kObject) {
+    in.skip();
+    return doc;
   }
-  r.technology = get_string(node, "technology", r.technology);
-  r.level = get_int(node, "level", r.level);
-  r.dielectric = get_string(node, "dielectric", r.dielectric);
+  doc.object_ = true;
+  in.begin_object();
+  while (in.next_member()) {
+    const std::size_t field = field_index(kRequestFields, in.key());
+    if (field == std::size(kRequestFields)) {
+      if (!doc.request_.unknown) doc.request_.unknown.emplace(in.key());
+      in.skip();
+    } else if (field == kWire &&
+               in.peek() == report::JsonReader::Type::kObject) {
+      doc.request_.field[kWire] = report::Json::object();
+      in.begin_object();
+      while (in.next_member()) {
+        const std::size_t w = field_index(kWireFields, in.key());
+        if (w == std::size(kWireFields)) {
+          if (!doc.wire_.unknown) doc.wire_.unknown.emplace(in.key());
+          in.skip();
+        } else {
+          doc.wire_.field[w] = read_leaf(in);
+        }
+      }
+    } else {
+      doc.request_.field[field] = read_leaf(in);
+    }
+  }
+  return doc;
+}
+
+RequestDocument RequestDocument::from_tree(const report::Json& node) {
+  RequestDocument doc;
+  if (!node.is_object()) return doc;
+  doc.object_ = true;
+  for (std::size_t i = 0; i < node.size(); ++i) {
+    const auto& [key, value] = node.member(i);
+    const std::size_t field = field_index(kRequestFields, key);
+    if (field == std::size(kRequestFields)) {
+      if (!doc.request_.unknown) doc.request_.unknown = key;
+      continue;
+    }
+    doc.request_.field[field] = leaf(value);
+    if (field != kWire || !value.is_object()) continue;
+    for (std::size_t j = 0; j < value.size(); ++j) {
+      const auto& [wire_key, wire_value] = value.member(j);
+      const std::size_t w = field_index(kWireFields, wire_key);
+      if (w == std::size(kWireFields)) {
+        if (!doc.wire_.unknown) doc.wire_.unknown = wire_key;
+      } else {
+        doc.wire_.field[w] = leaf(wire_value);
+      }
+    }
+  }
+  return doc;
+}
+
+bool RequestDocument::is_ping() const {
+  const Member& kind = request_.field[kKind];
+  return object_ && kind && kind->is_string() && kind->as_string() == "ping";
+}
+
+std::string RequestDocument::id() const {
+  const Member& id = request_.field[kId];
+  return id && id->is_string() ? id->as_string() : std::string{};
+}
+
+Request RequestDocument::decode() const {
+  static_assert(std::tuple_size_v<decltype(request_.field)> ==
+                    std::size(kRequestFields) &&
+                std::tuple_size_v<decltype(wire_.field)> ==
+                    std::size(kWireFields));
+  if (!object_) bad_request("request is not a JSON object");
+  if (request_.unknown)
+    bad_request("unknown request field '" + *request_.unknown + "'");
+  const auto& f = request_.field;
+  Request r;
+  r.id = get_string(f[kId], "");
+  r.kind = kind_from_name(get_string(f[kKind], "self-consistent"));
+  r.duty_cycle = get_number(f[kDutyCycle], r.duty_cycle);
+  r.j0_MA_cm2 = get_number(f[kJ0], r.j0_MA_cm2);
+  r.t_ref_c = get_number(f[kTRef], r.t_ref_c);
+  if (f[kWire]) {
+    if (!f[kWire]->is_object()) bad_request("'wire' is not a JSON object");
+    if (wire_.unknown)
+      bad_request("unknown wire field '" + *wire_.unknown + "'");
+    const auto& w = wire_.field;
+    r.wire.metal = get_string(w[kMetal], r.wire.metal);
+    r.wire.width_um = get_number(w[kWidth], r.wire.width_um);
+    r.wire.thickness_um = get_number(w[kThickness], r.wire.thickness_um);
+    r.wire.dielectric_um =
+        get_number(w[kDielectricThickness], r.wire.dielectric_um);
+    r.wire.k_dielectric = get_number(w[kConductivity], r.wire.k_dielectric);
+  }
+  r.technology = get_string(f[kTechnology], r.technology);
+  r.level = get_int(f[kLevel], "level", r.level);
+  r.dielectric = get_string(f[kDielectric], r.dielectric);
   if (r.kind == RequestKind::kTableCell && r.technology.empty())
     bad_request("table-cell request without 'technology'");
   return r;
+}
+
+Request request_from_json(const report::Json& node) {
+  return RequestDocument::from_tree(node).decode();
 }
 
 report::Json request_to_json(const Request& r) {
@@ -262,21 +377,48 @@ Response failure_response(const Request& request, const SolveError& error) {
 }
 
 std::vector<Request> parse_batch(const std::string& text) {
-  const report::Json doc = report::Json::parse(text);
-  const report::Json* list = nullptr;
-  if (doc.is_array()) {
-    list = &doc;
-  } else if (doc.is_object()) {
-    list = doc.find("requests");
-    if (list == nullptr || !list->is_array())
-      bad_request("batch object lacks a 'requests' array");
-  } else {
-    bad_request("batch document is neither an array nor an object");
-  }
+  using Type = report::JsonReader::Type;
+  report::JsonReader in(text);
   std::vector<Request> requests;
-  requests.reserve(list->size());
-  for (std::size_t i = 0; i < list->size(); ++i)
-    requests.push_back(request_from_json(list->at(i)));
+  std::optional<SolveError> first_error;
+  bool listed = false;
+  // Decodes the array at `in`. After the first element that fails its
+  // checks, the rest are only read: a JSON error still wins over it.
+  const auto read_list = [&] {
+    listed = true;
+    in.begin_array();
+    while (in.next_item()) {
+      if (first_error) {
+        in.skip();
+        continue;
+      }
+      const RequestDocument doc = RequestDocument::from_reader(in);
+      try {
+        requests.push_back(doc.decode());
+      } catch (const SolveError& e) {
+        first_error = e;
+      }
+    }
+  };
+  const Type top = in.peek();
+  if (top == Type::kArray) {
+    read_list();
+  } else if (top == Type::kObject) {
+    in.begin_object();
+    while (in.next_member()) {
+      if (in.key() == "requests" && in.peek() == Type::kArray)
+        read_list();
+      else
+        in.skip();
+    }
+  } else {
+    in.skip();
+  }
+  in.finish();
+  if (top == Type::kScalar)
+    bad_request("batch document is neither an array nor an object");
+  if (!listed) bad_request("batch object lacks a 'requests' array");
+  if (first_error) throw *first_error;
   return requests;
 }
 

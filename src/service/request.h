@@ -7,7 +7,9 @@
 // responses cross the process boundary as JSON (report/json.h); the codec
 // here is strict — unknown kinds, unknown or malformed fields, and
 // non-finite numbers raise dsmt::SolveError (kInvalidInput) instead of
-// guessing.
+// guessing. Served requests are decoded from their bytes by
+// RequestDocument, which reads them with report::JsonReader and builds no
+// tree; request_from_json runs the same checks on a tree.
 //
 // Every response is terminal and structured: success (possibly degraded,
 // with `degradation_level` and a conservative-direction guarantee on j_rms),
@@ -19,9 +21,12 @@
 // kind on every path.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/status.h"
@@ -98,9 +103,50 @@ struct Response {
   bool ok() const { return status == core::StatusCode::kOk; }
 };
 
-/// Decodes one request object. Unknown/malformed fields raise
-/// dsmt::SolveError (kInvalidInput) naming the field; absent optional
-/// fields keep defaults.
+/// One request document as the JSON grammar read it, before the request
+/// checks: what is needed to answer a ping, to echo an id, and to decode
+/// the request. Only the members a request can carry are kept, as leaves
+/// (a container keeps its type alone, the "wire" object its own members),
+/// so reading builds no tree.
+class RequestDocument {
+ public:
+  /// Reads one whole payload; anything after the document is an error.
+  /// Throws dsmt::SolveError (kInvalidInput) with report::Json::parse's
+  /// text on malformed JSON.
+  static RequestDocument parse(std::string_view bytes);
+  /// Reads the value at `in`'s position (one element of a batch).
+  static RequestDocument from_reader(report::JsonReader& in);
+
+  /// A top-level object whose "kind" is exactly the string "ping",
+  /// whatever its other members.
+  bool is_ping() const;
+  /// The best-effort id an error reply echoes: the top-level "id" when it
+  /// is a string, else "".
+  std::string id() const;
+  /// The request, or the first failing check as dsmt::SolveError
+  /// (kInvalidInput) naming the field; absent optional fields keep their
+  /// defaults.
+  Request decode() const;
+
+ private:
+  /// The members of one object: each known field present, in the order
+  /// of its name list, and the first member no name matches.
+  template <std::size_t N>
+  struct Members {
+    std::array<std::optional<report::Json>, N> field;
+    std::optional<std::string> unknown;
+  };
+
+  friend Request request_from_json(const report::Json& node);
+  static RequestDocument from_tree(const report::Json& node);
+
+  // R10-ok: a value type; each thread decodes its own documents
+  bool object_ = false;  ///< the document is a JSON object
+  Members<9> request_;
+  Members<5> wire_;  ///< when the request's "wire" is an object
+};
+
+/// Decodes one request object: RequestDocument::decode() of the tree.
 Request request_from_json(const report::Json& node);
 
 report::Json request_to_json(const Request& request);
@@ -136,8 +182,11 @@ Response failure_response(std::string id, core::StatusCode status,
 /// its diag chain.
 Response failure_response(const Request& request, const SolveError& error);
 
-/// Parses a batch document: a bare array of request objects, or an object
-/// carrying a "requests" array. Throws dsmt::SolveError (kInvalidInput).
+/// Decodes a batch document, a bare array of request objects or an object
+/// carrying a "requests" array, straight from its bytes. The whole document
+/// is read before anything is thrown: a JSON error anywhere wins, then the
+/// document's shape, then the first element in index order that fails its
+/// checks. Throws dsmt::SolveError (kInvalidInput).
 std::vector<Request> parse_batch(const std::string& text);
 
 /// The ladder's working set for one request: the quasi-2D problem the full

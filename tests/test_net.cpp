@@ -4,12 +4,13 @@
 // deterministic I/O fault injection, and the 1-vs-8-thread byte-equality
 // guarantee on reply streams.
 //
-// Tests drive a real net::Server over real Unix-domain sockets (the event
-// loop runs on a dedicated thread; raw client-side syscalls are fine here —
-// lint rule R11 fences them out of src/, not tests/). Every client socket
-// carries a receive timeout so a lost reply fails the test instead of
-// wedging it.
+// Tests drive a real net::Server over real Unix-domain sockets, and once
+// over TCP on 127.0.0.1 (the event loop runs on a dedicated thread; raw
+// client-side syscalls are fine here — lint rule R11 fences them out of
+// src/, not tests/). Every client socket carries a receive timeout so a
+// lost reply fails the test instead of wedging it.
 #include <gtest/gtest.h>
+#include <netinet/in.h>
 #include <poll.h>
 #include <signal.h>
 #include <string.h>
@@ -53,6 +54,19 @@ class Client {
     std::memset(&addr, 0, sizeof addr);
     addr.sun_family = AF_UNIX;
     std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+    connected_ = ::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
+                           sizeof addr) == 0;
+    timeval timeout{10, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  }
+  /// A TCP client of 127.0.0.1:`port`.
+  explicit Client(std::uint16_t port) {
+    fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    sockaddr_in addr;
+    std::memset(&addr, 0, sizeof addr);
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
     connected_ = ::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
                            sizeof addr) == 0;
     timeval timeout{10, 0};
@@ -730,6 +744,37 @@ TEST_F(NetServerTest, DrainFinishesInflightWorkBeforeClosing) {
   const net::NetStats stats = stop();
   EXPECT_TRUE(stats.drained_clean);
   EXPECT_EQ(stats.replies_sent, 1u);
+}
+
+TEST_F(NetServerTest, ServesARequestAndAPingOverTcp) {
+  net::NetConfig config = fast_config();
+  config.endpoint.kind = net::Endpoint::Kind::kTcp;
+  config.endpoint.port = 0;  // kernel-assigned, on 127.0.0.1
+  server_ = std::make_unique<net::Server>(std::move(config));
+  server_->open();
+  const std::uint16_t port = server_->bound_port();
+  ASSERT_NE(port, 0u);
+  thread_ = std::thread([this] { stats_ = server_->run(); });
+  {
+    Client client(port);
+    ASSERT_TRUE(client.connected());
+    ASSERT_TRUE(client.send_frame(request_payload("tcp-1")));
+    report::Json doc;
+    ASSERT_TRUE(client.recv_json(doc));
+    EXPECT_EQ(id_of(doc), "tcp-1");
+    EXPECT_EQ(status_of(doc), "ok");
+    ASSERT_TRUE(client.send_frame("{\"kind\":\"ping\",\"id\":\"tcp-ping\"}"));
+    ASSERT_TRUE(client.recv_json(doc));
+    EXPECT_EQ(id_of(doc), "tcp-ping");
+    EXPECT_EQ(status_of(doc), "ok");
+    client.half_close();
+    EXPECT_TRUE(client.at_eof());
+  }
+  const net::NetStats stats = stop();
+  EXPECT_TRUE(stats.drained_clean);
+  EXPECT_EQ(stats.accepted, 1u);
+  EXPECT_EQ(stats.replies_sent, 1u);
+  EXPECT_EQ(stats.pings, 1u);
 }
 
 TEST_F(NetServerTest, SigtermDrainsGracefully) {

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Physics-aware lint gate for the dsmt library sources.
 
-Rules (library code under src/ only — tests/bench/examples are exempt):
+Rules (library code under src/ only — tests/bench/examples are exempt,
+except that R16 also covers examples/):
 
   R1 unit-tag     Exported function declarations in headers must not take
                   raw `double` parameters unless the parameter is documented
@@ -106,6 +107,18 @@ Rules (library code under src/ only — tests/bench/examples are exempt):
                   identifiers (`my_write_response(`, `response_to_json_v2(`)
                   do not fire. tests/, tools/, and examples/ are exempt,
                   like all rules.
+  R16 request-decoder  one JSON grammar and one request decoder on every
+                  served path. `Json::parse(` (the tree builder) may be
+                  called in src/ only under src/report/, its home, and
+                  `request_from_json(` (the tree decoder) only in
+                  service/request.{h,cpp}, where it is declared and
+                  defined; served bytes are decoded by
+                  service::RequestDocument straight from the reader. This
+                  rule also covers examples/, whose front ends are the
+                  served paths. Member calls (`x.request_from_json(`) and
+                  longer identifiers (`MyJson::parse(`,
+                  `Json::parse_all(`, `request_from_json_v2(`) do not fire.
+                  tests/, tools/, and perf/ keep both as oracles.
 
 Exit status 0 when clean, 1 when any violation is found.
 
@@ -307,6 +320,16 @@ REPLY_CODEC_PREFIX = "service/"
 REPLY_ENCODER_HOME = "net/wire.cpp"
 RESPONSE_TO_JSON_RE = re.compile(r"(?<![\w.>])response_to_json\s*\(")
 WRITE_RESPONSE_RE = re.compile(r"(?<![\w.>])write_response\s*\(")
+
+
+# The request decoder's fence (R16): the tree builder Json::parse lives in
+# src/report/, and the tree decoder request_from_json in the request codec.
+# A served path that called either would decode requests a second way,
+# through a tree the reader exists to avoid.
+JSON_PARSE_HOME_PREFIX = "report/"
+REQUEST_FROM_JSON_HOMES = ("service/request.h", "service/request.cpp")
+JSON_PARSE_RE = re.compile(r"(?<![\w.>])Json\s*::\s*parse\s*\(")
+REQUEST_FROM_JSON_RE = re.compile(r"(?<![\w.>])request_from_json\s*\(")
 
 
 # A doc line counts as carrying a unit tag when it contains [...] with a
@@ -572,6 +595,8 @@ def lint_file(path: pathlib.Path, rel: str, errors: list):
                               f"net::response_frame so every path sends the "
                               f"same bytes")
 
+    lint_decoder_calls(lines, rel, errors)
+
     # R1: raw double params in exported header decls need a [unit] doc tag.
     # core/units.h is the unit vocabulary itself: its factory helpers and
     # scalar operators are exactly the sanctioned raw-double boundary.
@@ -582,6 +607,28 @@ def lint_file(path: pathlib.Path, rel: str, errors: list):
                     f"{rel}:{line_no}: [unit-tag] raw double parameter "
                     f"'{name}' lacks a [unit] doc tag — use a strong type "
                     f"from core/units.h or document the unit")
+
+
+def lint_decoder_calls(lines, rel: str, errors: list):
+    """R16: Json::parse only under src/report/, request_from_json only in
+    the request codec; `rel` is relative to src/, or starts with
+    "examples/" for a front end."""
+    parse_allowed = rel.startswith(JSON_PARSE_HOME_PREFIX)
+    decoder_allowed = rel in REQUEST_FROM_JSON_HOMES
+    for i, raw in enumerate(lines):
+        line = strip_comments(raw)
+        if not parse_allowed and JSON_PARSE_RE.search(line):
+            errors.append(f"{rel}:{i + 1}: [request-decoder] Json::parse "
+                          f"called outside src/report/ — decode a request "
+                          f"with service::RequestDocument (a batch with "
+                          f"service::parse_batch), which reads the bytes "
+                          f"without a tree")
+        if not decoder_allowed and REQUEST_FROM_JSON_RE.search(line):
+            errors.append(f"{rel}:{i + 1}: [request-decoder] "
+                          f"request_from_json called outside "
+                          f"service/request.{{h,cpp}} — it decodes a tree; "
+                          f"served bytes go through "
+                          f"service::RequestDocument")
 
 
 def run(root: pathlib.Path) -> int:
@@ -596,6 +643,12 @@ def run(root: pathlib.Path) -> int:
     for path in sorted(src.rglob("*.h")) + sorted(src.rglob("*.cpp")):
         rel = path.relative_to(src).as_posix()
         lint_file(path, rel, errors)
+    # R16 also fences the front ends in examples/.
+    examples = root / "examples"
+    for path in sorted(examples.rglob("*.h")) + sorted(examples.rglob("*.cpp")):
+        rel = "examples/" + path.relative_to(examples).as_posix()
+        lint_decoder_calls(path.read_text(encoding="utf-8").split("\n"), rel,
+                           errors)
     for e in errors:
         print(e)
     if errors:
@@ -996,6 +1049,61 @@ inline void writer_look_alikes(Codec& codec, Codec* other, std::string& out,
 }  // namespace dsmt::demo
 """
 
+SELF_TEST_BAD_DECODER = """\
+// Second request decoders in the three shapes R16 must catch, for each of
+// its two names: Json::parse outside src/report/, request_from_json
+// outside the request codec.
+#pragma once
+
+#include <string>
+
+namespace dsmt::demo {
+
+inline service::Request qualified(const std::string& payload) {
+  return service::request_from_json(dsmt::report::Json::parse(payload));
+}
+
+inline service::Request spaced(const std::string& payload) {
+  return dsmt::service::request_from_json (report::Json :: parse (payload));
+}
+
+using report::Json;
+using service::request_from_json;
+inline service::Request bare(const std::string& payload) {
+  return request_from_json(Json::parse(payload));
+}
+
+}  // namespace dsmt::demo
+"""
+
+SELF_TEST_GOOD_DECODER = """\
+// Look-alikes R16 must stay quiet on: the sanctioned decoder, comments,
+// member calls, and longer identifiers.
+#pragma once
+
+#include <string>
+
+namespace dsmt::demo {
+
+// request_from_json(Json::parse(payload)) is the tree oracle tests keep.
+inline service::Request sanctioned(const std::string& payload) {
+  return service::RequestDocument::parse(payload).decode();  // Json::parse(
+}
+
+inline service::Request look_alikes(const Codec& codec, const Codec* other,
+                                    const std::string& payload) {
+  codec.request_from_json(payload);
+  other->request_from_json(payload);
+  my_request_from_json(payload);
+  request_from_json_v2(payload);
+  MyJson::parse(payload);
+  report::Json::parse_all(payload);
+  return other->Json::parse(payload);
+}
+
+}  // namespace dsmt::demo
+"""
+
 SELF_TEST_WRAPPER_HOME = """\
 // Minimal slice of core/thread_annotations.h: the one sanctioned home of
 // the raw std lock types, which it wraps in annotated capabilities.
@@ -1307,7 +1415,53 @@ def self_test() -> int:
                     print("  " + e)
                 return 1
 
-    print("dsmt_lint: self-test passed (rules R1-R11, R13-R15)")
+        # R16 fires on every second decoder outside the decoder's homes:
+        # both names in net/ and service/server.cpp, and in examples/ ...
+        bad_decoder = root / "src" / "demo" / "bad_decoder.h"
+        bad_decoder.write_text(SELF_TEST_BAD_DECODER)
+        good_decoder = root / "src" / "demo" / "good_decoder.h"
+        good_decoder.write_text(SELF_TEST_GOOD_DECODER)
+
+        def decoder_errors(path: pathlib.Path, rel: str) -> list[str]:
+            errors = []
+            if rel.startswith("examples/"):
+                lint_decoder_calls(path.read_text().split("\n"), rel, errors)
+            else:
+                lint_file(path, rel, errors)
+            return [e for e in errors if "[request-decoder]" in e]
+
+        # (path, expected Json::parse hits, expected request_from_json
+        # hits): three shapes each (qualified, spaced, bare).
+        for rel, parse, decoder in (("net/server.cpp", 3, 3),
+                                    ("service/server.cpp", 3, 3),
+                                    ("examples/dsmt_serve.cpp", 3, 3),
+                                    ("report/json.cpp", 0, 3),
+                                    ("service/request.cpp", 3, 0),
+                                    ("service/request.h", 3, 0)):
+            errs = decoder_errors(bad_decoder, rel)
+            got_parse = len([e for e in errs if "Json::parse" in e])
+            got_decoder = len([e for e in errs if "request_from_json" in e])
+            if (got_parse, got_decoder) != (parse, decoder):
+                print(f"self-test FAILED: bad_decoder.h as {rel} raised "
+                      f"{got_parse} Json::parse and {got_decoder} "
+                      f"request_from_json request-decoder violations, "
+                      f"expected {parse} and {decoder}:")
+                for e in errs:
+                    print("  " + e)
+                return 1
+
+        # ... and stays quiet on the sanctioned decoder and the look-alikes.
+        for rel in ("net/server.cpp", "service/server.cpp",
+                    "examples/dsmt_serve.cpp"):
+            errs = decoder_errors(good_decoder, rel)
+            if errs:
+                print(f"self-test FAILED: good_decoder.h as {rel} should be "
+                      f"R16-clean:")
+                for e in errs:
+                    print("  " + e)
+                return 1
+
+    print("dsmt_lint: self-test passed (rules R1-R11, R13-R16)")
     return 0
 
 

@@ -50,10 +50,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/cli.h"
 #include "net/wire.h"
 #include "report/json.h"
 #include "service/request.h"
@@ -100,6 +103,10 @@ void print_error(const std::string& message) {
       "  --seed S            fault/garbage/bitflip stream seed (default 1)\n"
       "  --json              emit the report as JSON on stdout\n"
       "  --help              this text\n"
+      "\n"
+      "Numeric values are whole base-10 integers: --tcp 1-65535,\n"
+      "--clients, --requests and --flips at least 1, --poison-percent\n"
+      "1-100, --seed any unsigned 64-bit value.\n"
       "\n"
       "exit codes: 0 = all expectations held, 1 = server misbehaved,\n"
       "2 = usage error\n");
@@ -372,11 +379,7 @@ void run_crash_storm_client(const Options& opt, int client,
     ++out.failures;
     return;
   }
-  const int stride =
-      opt.poison_percent >= 100
-          ? 1
-          : (opt.poison_percent > 0 ? 100 / opt.poison_percent
-                                    : opt.requests + 1);
+  const int stride = 100 / opt.poison_percent;
   std::string payload;
   for (int i = 0; i < opt.requests; ++i) {
     const bool poison = stride <= opt.requests && i % stride == 0;
@@ -582,6 +585,7 @@ double percentile(std::vector<double>& sorted, double p) {
 
 int main(int argc, char** argv) {
   Options opt;
+  constexpr int kMaxInt = std::numeric_limits<int>::max();
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&](const char* flag) -> std::string {
@@ -591,23 +595,40 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--help" || arg == "-h") usage(0);
-    else if (arg == "--connect") opt.socket_path = value("--connect");
-    else if (arg == "--tcp") {
-      opt.use_tcp = true;
-      opt.port = static_cast<std::uint16_t>(std::stoi(value("--tcp")));
-    } else if (arg == "--mode") opt.mode = value("--mode");
-    else if (arg == "--crash-storm") opt.mode = "crash-storm";
-    else if (arg == "--clients") opt.clients = std::stoi(value("--clients"));
-    else if (arg == "--requests") opt.requests = std::stoi(value("--requests"));
-    else if (arg == "--poison-percent")
-      opt.poison_percent = std::stoi(value("--poison-percent"));
-    else if (arg == "--file") opt.file = value("--file");
-    else if (arg == "--flips") opt.flips = std::stoi(value("--flips"));
-    else if (arg == "--seed") opt.seed = std::stoull(value("--seed"));
-    else if (arg == "--json") opt.json = true;
-    else {
-      print_error("unknown argument: " + arg);
+    // Numbers are whole base-10 integers in range (dsmt::core's rule, as
+    // in dsmt_serve); anything else is a usage error naming the option.
+    try {
+      if (arg == "--help" || arg == "-h") usage(0);
+      else if (arg == "--connect") opt.socket_path = value("--connect");
+      else if (arg == "--tcp") {
+        opt.use_tcp = true;
+        opt.port =
+            dsmt::core::integer_option<std::uint16_t>("tcp", value("--tcp"), 1);
+      } else if (arg == "--mode") opt.mode = value("--mode");
+      else if (arg == "--crash-storm") opt.mode = "crash-storm";
+      else if (arg == "--clients")
+        opt.clients = dsmt::core::integer_option("clients", value("--clients"),
+                                                 1, kMaxInt);
+      else if (arg == "--requests")
+        opt.requests = dsmt::core::integer_option(
+            "requests", value("--requests"), 1, kMaxInt);
+      else if (arg == "--poison-percent")
+        opt.poison_percent = dsmt::core::integer_option(
+            "poison-percent", value("--poison-percent"), 1, 100);
+      else if (arg == "--file") opt.file = value("--file");
+      else if (arg == "--flips")
+        opt.flips =
+            dsmt::core::integer_option("flips", value("--flips"), 1, kMaxInt);
+      else if (arg == "--seed")
+        opt.seed =
+            dsmt::core::integer_option<std::uint64_t>("seed", value("--seed"));
+      else if (arg == "--json") opt.json = true;
+      else {
+        print_error("unknown argument: " + arg);
+        usage(2);
+      }
+    } catch (const std::invalid_argument& e) {
+      print_error(e.what());
       usage(2);
     }
   }
@@ -623,23 +644,11 @@ int main(int argc, char** argv) {
       print_error("--mode bitflip requires --file");
       usage(2);
     }
-    if (opt.flips < 1) {
-      print_error("--flips must be >= 1");
-      usage(2);
-    }
     return run_bitflip(opt);
   }
   if ((opt.socket_path.empty() && !opt.use_tcp) ||
       (!opt.socket_path.empty() && opt.use_tcp)) {
     print_error("exactly one of --connect or --tcp is required");
-    usage(2);
-  }
-  if (opt.clients < 1 || opt.requests < 1) {
-    print_error("--clients and --requests must be >= 1");
-    usage(2);
-  }
-  if (opt.poison_percent < 1 || opt.poison_percent > 100) {
-    print_error("--poison-percent must be in [1, 100]");
     usage(2);
   }
 
