@@ -63,7 +63,7 @@ int main() {
   std::printf(
       "Paper: at r = 1e-2 the self-consistent j_peak is 'nearly 2 times\n"
       "smaller' than the EM-only j0/r line. Measured factor: %.2fx.\n",
-      selfconsistent::jpeak_em_only(pc) / sc.j_peak);
+      (selfconsistent::jpeak_em_only(pc) / sc.j_peak).value());
   std::printf(
       "Paper: T_m decreases monotonically toward T_ref = 100 C as r -> 1;\n"
       "measured T_m(r=1) = %.1f C, T_m(r=1e-4) = %.1f C.\n",

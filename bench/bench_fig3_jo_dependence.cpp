@@ -60,7 +60,7 @@ int main() {
   // Paper's observation: raising j0 raises T_m, but j_peak gains become
   // increasingly ineffective as r decreases below ~1e-3.
   auto gain = [&](std::size_t k) {
-    return family.back()[k].sc.j_peak / family.front()[k].sc.j_peak;
+    return (family.back()[k].sc.j_peak / family.front()[k].sc.j_peak).value();
   };
   std::printf(
       "j_peak gain from 4x j0 at r = 1:    %.2fx\n"

@@ -8,12 +8,18 @@
 //   dsmt_cli signoff    --tech <...> [--j0 MA] [--k K]
 //   dsmt_cli techfile   --tech <...>            (dump the techfile)
 //
-// Unknown options or missing values exit non-zero with a usage message.
+// Each subcommand takes only the options on its line, and every number is
+// read by core/cli.h's rule. An unknown subcommand or option, an option
+// without a value, a missing --tech or a bad number exits 2 naming it,
+// with the usage message. An analysis that fails (an unreadable .tech
+// file, a level the stack lacks) exits 1.
 #include <cstdio>
-#include <cstring>
 #include <map>
+#include <set>
+#include <stdexcept>
 #include <string>
 
+#include "core/cli.h"
 #include "core/signoff.h"
 #include "numeric/constants.h"
 #include "repeater/optimizer.h"
@@ -26,11 +32,30 @@ namespace {
 
 using namespace dsmt;
 
+/// Every subcommand with the --name VALUE options it reads.
+const std::map<std::string, std::set<std::string>> kCommands = {
+    {"designrule", {"tech", "level", "j0", "duty", "dielectric"}},
+    {"repeater", {"tech", "level", "k"}},
+    {"esd", {"tech", "level", "hbm"}},
+    {"signoff", {"tech", "j0", "k"}},
+    {"techfile", {"tech"}},
+};
+
 int usage() {
   std::fprintf(stderr,
-               "usage: dsmt_cli <designrule|repeater|esd|signoff|techfile> "
-               "--tech <250|180|130|100|file.tech> [options]\n");
+               "usage: dsmt_cli designrule --tech T [--level N] [--j0 MA] "
+               "[--duty r] [--dielectric name]\n"
+               "       dsmt_cli repeater   --tech T [--level N] [--k K]\n"
+               "       dsmt_cli esd        --tech T [--level N] [--hbm kV]\n"
+               "       dsmt_cli signoff    --tech T [--j0 MA] [--k K]\n"
+               "       dsmt_cli techfile   --tech T\n"
+               "T is 250, 180, 130, 100 or a .tech file\n");
   return 2;
+}
+
+int usage_error(const std::string& message) {
+  std::fprintf(stderr, "dsmt_cli: %s\n", message.c_str());
+  return usage();
 }
 
 tech::Technology load_tech(const std::string& spec) {
@@ -46,27 +71,48 @@ tech::Technology load_tech(const std::string& spec) {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
+  const auto command = kCommands.find(cmd);
+  if (command == kCommands.end())
+    return usage_error("unknown subcommand '" + cmd + "'");
 
   std::map<std::string, std::string> opts;
-  for (int i = 2; i + 1 < argc; i += 2) {
-    if (std::strncmp(argv[i], "--", 2) != 0) return usage();
-    opts[argv[i] + 2] = argv[i + 1];
+  for (int i = 2; i < argc; i += 2) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--", 0) != 0 || !command->second.count(arg.substr(2)))
+      return usage_error("unknown option '" + arg + "' for " + cmd);
+    if (i + 1 >= argc) return usage_error("missing value for " + arg);
+    opts[arg.substr(2)] = argv[i + 1];
   }
-  if (!opts.count("tech")) return usage();
+  if (!opts.count("tech")) return usage_error("missing --tech");
+
+  // Every number is read before any analysis runs, so a bad one exits 2.
+  const auto number = [&](const std::string& name, double fallback) {
+    return opts.count(name) ? core::number_option<double>(name, opts[name])
+                            : fallback;
+  };
+  int level = 0;
+  double j0_ma = 0.0, duty = 0.0, k = 0.0, kv = 0.0;
+  try {
+    if (opts.count("level"))
+      level = core::number_option<int>("level", opts["level"]);
+    j0_ma = number("j0", 0.6);
+    duty = number("duty", 0.1);
+    k = number("k", 4.0);
+    kv = number("hbm", 2.0);
+  } catch (const std::invalid_argument& e) {
+    return usage_error(e.what());
+  }
 
   try {
     const auto technology = load_tech(opts["tech"]);
-    const int level = opts.count("level") ? std::stoi(opts["level"])
-                                          : technology.top_level();
-    const double j0 =
-        MA_per_cm2(opts.count("j0") ? std::stod(opts["j0"]) : 0.6);
+    if (!opts.count("level")) level = technology.top_level();
+    const double j0 = MA_per_cm2(j0_ma);
 
     if (cmd == "techfile") {
       std::printf("%s", tech::to_techfile(technology).c_str());
       return 0;
     }
     if (cmd == "designrule") {
-      const double duty = opts.count("duty") ? std::stod(opts["duty"]) : 0.1;
       const auto gf = materials::dielectric_by_name(
           opts.count("dielectric") ? opts["dielectric"] : "oxide");
       const auto sol = selfconsistent::solve(
@@ -83,7 +129,6 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (cmd == "repeater") {
-      const double k = opts.count("k") ? std::stod(opts["k"]) : 4.0;
       const auto opt = repeater::optimize_layer(technology, level, k, kTrefK);
       const auto sim = repeater::simulate_stage(technology, level, k, opt);
       std::printf(
@@ -98,7 +143,6 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (cmd == "esd") {
-      const double kv = opts.count("hbm") ? std::stod(opts["hbm"]) : 2.0;
       core::DesignRuleEngine engine(technology, j0);
       const auto out =
           engine.esd_screen(level, kv * 1000.0, materials::make_oxide());
@@ -111,7 +155,7 @@ int main(int argc, char** argv) {
     if (cmd == "signoff") {
       core::SignoffOptions so;
       so.j0 = j0;
-      if (opts.count("k")) so.k_rel_electrical = std::stod(opts["k"]);
+      if (opts.count("k")) so.k_rel_electrical = k;
       const auto report = core::run_signoff(technology, so);
       std::printf("%s", report.to_text().c_str());
       return report.all_global_layers_pass ? 0 : 1;

@@ -96,15 +96,15 @@ constexpr const char* kValueOptions[] = {
     "max-inflight", "tick-ms",      "idle-ticks",   "drain-ticks",
     "workers",      "rlimit-as-mb", "rlimit-cpu-s", "crash-faults"};
 
-/// The value of --name under core::integer_option's rule ("0" for a tick
+/// The value of --name under core::number_option's rule ("0" for a tick
 /// is out of range too), so main exits 2 naming the option instead of
 /// serving a misread number.
 template <typename T>
-T integer_option(const std::map<std::string, std::string>& opts,
-                 const std::string& name,
-                 T min = std::numeric_limits<T>::lowest(),
-                 T max = std::numeric_limits<T>::max()) {
-  return core::integer_option<T>(name, opts.at(name), min, max);
+T number_option(const std::map<std::string, std::string>& opts,
+                const std::string& name,
+                T min = std::numeric_limits<T>::lowest(),
+                T max = std::numeric_limits<T>::max()) {
+  return core::number_option<T>(name, opts.at(name), min, max);
 }
 
 int usage(bool to_stdout = false) {
@@ -337,47 +337,47 @@ int main(int argc, char** argv) {
     service::ServerConfig config;
     constexpr std::uint64_t kNsPerMs = 1000000;
     if (opts.count("queue"))
-      config.queue_capacity = integer_option<std::size_t>(opts, "queue");
+      config.queue_capacity = number_option<std::size_t>(opts, "queue");
     if (opts.count("deadline-ms"))
       config.deadline_ns =
-          integer_option<std::uint64_t>(opts, "deadline-ms", 0,
-                                        UINT64_MAX / kNsPerMs) *
+          number_option<std::uint64_t>(opts, "deadline-ms", 0,
+                                       UINT64_MAX / kNsPerMs) *
           kNsPerMs;
     const int indent =
-        opts.count("indent") ? integer_option<int>(opts, "indent") : 2;
+        opts.count("indent") ? number_option<int>(opts, "indent") : 2;
 
     net::NetConfig net_config;
     if (opts.count("tcp"))
-      net_config.endpoint.port = integer_option<std::uint16_t>(opts, "tcp");
+      net_config.endpoint.port = number_option<std::uint16_t>(opts, "tcp");
     if (opts.count("max-connections"))
       net_config.max_connections =
-          integer_option<std::size_t>(opts, "max-connections");
+          number_option<std::size_t>(opts, "max-connections");
     if (opts.count("max-inflight"))
       net_config.max_inflight_total =
-          integer_option<std::size_t>(opts, "max-inflight");
+          number_option<std::size_t>(opts, "max-inflight");
     if (opts.count("tick-ms"))
-      net_config.tick_ms = integer_option<int>(opts, "tick-ms", 1);
+      net_config.tick_ms = number_option<int>(opts, "tick-ms", 1);
     if (opts.count("idle-ticks"))
       net_config.idle_timeout_ticks =
-          integer_option<std::uint64_t>(opts, "idle-ticks");
+          number_option<std::uint64_t>(opts, "idle-ticks");
     if (opts.count("drain-ticks"))
       net_config.drain_timeout_ticks =
-          integer_option<std::uint64_t>(opts, "drain-ticks");
+          number_option<std::uint64_t>(opts, "drain-ticks");
     // The request budget mirrors the service deadline so socket callers get
     // the same per-request guarantee as batch callers.
     net_config.request_deadline_ns = config.deadline_ns;
 
     supervise::SuperviseConfig sup;
     if (opts.count("workers"))
-      sup.workers = integer_option<std::size_t>(opts, "workers", 1);
+      sup.workers = number_option<std::size_t>(opts, "workers", 1);
     if (opts.count("rlimit-as-mb"))
       sup.limits.rlimit_as_bytes =
-          integer_option<std::uint64_t>(opts, "rlimit-as-mb", 0,
-                                        UINT64_MAX >> 20)
+          number_option<std::uint64_t>(opts, "rlimit-as-mb", 0,
+                                       UINT64_MAX >> 20)
           << 20;
     if (opts.count("rlimit-cpu-s"))
       sup.limits.rlimit_cpu_seconds =
-          integer_option<std::uint64_t>(opts, "rlimit-cpu-s");
+          number_option<std::uint64_t>(opts, "rlimit-cpu-s");
 
     // Durable content-addressed solve cache: the segment file is
     // recovered/repaired here, before any server thread exists.

@@ -166,17 +166,6 @@ static_assert(std::is_same_v<
 // Like-for-like ratios are dimensionless.
 static_assert(std::is_same_v<decltype(Metres{} / Metres{}), Dimensionless>);
 
-// --- human-readable formatting (units.cpp) ----------------------------------
-std::string to_string(Kelvin t);
-std::string to_string(CelsiusDelta dt);
-std::string to_string(Metres length);
-std::string to_string(Seconds t);
-std::string to_string(CurrentDensity j);
-std::string to_string(Resistivity rho);
-std::string to_string(ThermalConductivity k);
-std::string to_string(ThermalResistancePerLength rth);
-std::string to_string(HeatingCoefficient h);
-
 }  // namespace dsmt::units
 
 namespace dsmt {

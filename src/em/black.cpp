@@ -26,16 +26,6 @@ double lifetime_ratio(const materials::EmParameters& em,
                   (1.0 / t1 - 1.0 / t0));
 }
 
-units::CurrentDensity javg_max_at_temperature(
-    const materials::EmParameters& em, units::CurrentDensity j0,
-    units::Kelvin t0, units::Kelvin t_metal) {
-  if (j0 <= 0.0 || t0 <= 0.0 || t_metal <= 0.0)
-    throw std::invalid_argument("javg_max_at_temperature: bad inputs");
-  return j0 * std::exp(em.activation_energy_ev /
-                       (em.current_exponent * kBoltzmannEv) *
-                       (1.0 / t_metal - 1.0 / t0));
-}
-
 units::Kelvin temperature_for_javg(const materials::EmParameters& em,
                                    units::CurrentDensity javg,
                                    units::CurrentDensity j0,

@@ -27,16 +27,11 @@ double lifetime_ratio(const materials::EmParameters& em,
                       units::CurrentDensity j1, units::Kelvin t1,
                       units::CurrentDensity j0, units::Kelvin t0);
 
-/// The maximum average current density at metal temperature T that still
-/// meets the lifetime achieved by `j0` at `t0` (paper Eq. 12 solved for j):
-///   j_max = j0 * exp[(Q/(n kB)) (1/T - 1/T0)]
-/// For T > T0 this is *smaller* than j0 — hotter metal must carry less.
-units::CurrentDensity javg_max_at_temperature(
-    const materials::EmParameters& em, units::CurrentDensity j0,
-    units::Kelvin t0, units::Kelvin t_metal);
-
-/// Inverse of the above: the metal temperature at which `javg` exactly meets
-/// the lifetime of `j0` at `t0`. Returns +inf when javg <= 0 is degenerate.
+/// The metal temperature at which `javg` exactly meets the lifetime of
+/// `j0` at `t0`: the inverse of Black's rule at temperature (paper Eq. 12,
+///   j_max = j0 * exp[(Q/(n kB)) (1/T - 1/T0)],
+/// whose square selfconsistent::eq13::javg2_em evaluates). Returns +inf
+/// when javg is so far below j0 that no finite temperature is hot enough.
 units::Kelvin temperature_for_javg(const materials::EmParameters& em,
                                    units::CurrentDensity javg,
                                    units::CurrentDensity j0, units::Kelvin t0);

@@ -37,11 +37,6 @@ CurrentWaveform mm(double v_charge) {
   };
 }
 
-CurrentWaveform cdm(double i_peak) {
-  if (i_peak <= 0.0) throw std::invalid_argument("cdm: i_peak <= 0");
-  return double_exp(i_peak, 0.25e-9, 1.5e-9);
-}
-
 CurrentWaveform tlp(double i, double t_pulse) {
   if (t_pulse <= 0.0) throw std::invalid_argument("tlp: width <= 0");
   return [=](double t) { return (t > 0.0 && t <= t_pulse) ? i : 0.0; };

@@ -4,7 +4,7 @@
 //   I_peak ~= V_charge / 1500 Ohm.
 // MM (machine model): ringing discharge, ~0.5-MHz-scale damped sine with
 //   much higher peak per volt (no series resistor).
-// CDM (charged device model): very fast (<1 ns rise) oscillatory event.
+// TLP (transmission-line pulse): the rectangular characterization pulse.
 #pragma once
 
 #include <functional>
@@ -21,10 +21,6 @@ CurrentWaveform hbm(double v_charge);
 /// MM discharge (200 pF, ~0.75 uH, ~10 Ohm): damped sine with period
 /// ~ 80 ns; peak roughly v/15 [A].
 CurrentWaveform mm(double v_charge);
-
-/// CDM-like event: single fast double-exponential, 0.25 ns rise / 1.5 ns
-/// decay, peak `i_peak`.
-CurrentWaveform cdm(double i_peak);
 
 /// Rectangular transmission-line-pulse (TLP) current of amplitude `i` and
 /// width `t_pulse` — the waveform used to characterize the failure model.

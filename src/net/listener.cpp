@@ -16,6 +16,10 @@ namespace dsmt::net {
 
 namespace {
 
+/// Pending-connection queue length passed to listen(2). Connection
+/// admission (NetConfig::max_connections) is what bounds live clients.
+constexpr int kListenBacklog = 64;
+
 [[noreturn]] void listen_error(const std::string& step, int err) {
   core::SolverDiag diag;
   const std::string what =
@@ -26,7 +30,7 @@ namespace {
 
 }  // namespace
 
-void Listener::open(const Endpoint& endpoint, int backlog) {
+void Listener::open(const Endpoint& endpoint) {
   stop();
 
   if (endpoint.kind == Endpoint::Kind::kUnix) {
@@ -49,7 +53,7 @@ void Listener::open(const Endpoint& endpoint, int backlog) {
     if (::bind(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
                sizeof addr) != 0)
       listen_error("bind('" + endpoint.path + "')", errno);
-    if (::listen(fd.get(), backlog) != 0)
+    if (::listen(fd.get(), kListenBacklog) != 0)
       listen_error("listen('" + endpoint.path + "')", errno);
     fd_ = std::move(fd);
     endpoint_ = endpoint;
@@ -73,7 +77,7 @@ void Listener::open(const Endpoint& endpoint, int backlog) {
              sizeof addr) != 0)
     listen_error("bind(127.0.0.1:" + std::to_string(endpoint.port) + ")",
                  errno);
-  if (::listen(fd.get(), backlog) != 0)
+  if (::listen(fd.get(), kListenBacklog) != 0)
     listen_error("listen(tcp)", errno);
 
   sockaddr_in bound;

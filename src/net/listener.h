@@ -45,7 +45,7 @@ class Listener {
   /// (kInvalidInput) with the failing step and errno text on failure; the
   /// listener stays closed in that case. A stale Unix socket path left by a
   /// crashed predecessor is unlinked before binding.
-  void open(const Endpoint& endpoint, int backlog);
+  void open(const Endpoint& endpoint);
 
   /// Closes the listening socket (and unlinks a Unix path). Idempotent.
   void stop();

@@ -70,7 +70,7 @@ Server::~Server() {
 
 void Server::open() {
   if (!listener_.listening())
-    listener_.open(config_.endpoint, config_.listen_backlog);
+    listener_.open(config_.endpoint);
 }
 
 void Server::request_drain() {

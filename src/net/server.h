@@ -75,7 +75,6 @@ namespace dsmt::net {
 
 struct NetConfig {
   Endpoint endpoint;
-  int listen_backlog = 64;
   /// Connection admission: live sockets beyond this are rejected with one
   /// kRejectedOverload frame and closed.
   std::size_t max_connections = 64;

@@ -4,12 +4,6 @@
 
 namespace dsmt::numeric {
 
-Matrix Matrix::identity(std::size_t n) {
-  Matrix m(n, n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
 std::vector<double> Matrix::multiply(const std::vector<double>& x) const {
   if (x.size() != cols_) throw std::invalid_argument("Matrix::multiply: size");
   std::vector<double> y(rows_, 0.0);

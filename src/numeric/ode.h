@@ -1,8 +1,8 @@
 // ODE integrators for lumped thermal transients (ESD pulse heating).
 //
-// The ESD failure model integrates C_v dT/dt = j(t)^2 rho(T) - loss(T); the
-// heating term is stiff near melting, so an implicit Euler option backed by
-// scalar Newton is provided alongside the explicit RK methods.
+// The ESD failure model integrates C_v dT/dt = j(t)^2 rho(T) - loss(T) with
+// the adaptive RKF45 (thermal/transient). Fixed-step RK4 and implicit Euler
+// have no caller in the library; only their own tests run them.
 #pragma once
 
 #include <functional>

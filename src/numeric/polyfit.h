@@ -1,6 +1,6 @@
-// Least-squares polynomial and linear fits. Used to extract the heat-
-// spreading parameter phi from solved/measured thermal-impedance data
-// (paper Eq. 14 / Fig. 5) and for waveform post-processing.
+// Least-squares polynomial and linear fits. linear_fit calibrates the
+// resistance thermometer (thermal/thermometry); polyfit and polyval have no
+// caller in the library, only their own tests.
 #pragma once
 
 #include <vector>

@@ -2,8 +2,8 @@
 //
 // The self-consistent interconnect-temperature equation (paper Eq. 13) is a
 // single nonlinear equation with a guaranteed bracket, so Brent is the
-// workhorse; bisection is the fallback and Newton is used where analytic
-// derivatives are cheap (ESD time-to-failure inversions).
+// workhorse and bisection its fallback. Damped Newton has no caller in the
+// library; only its own tests run it.
 //
 // Every kernel classifies its outcome with a core::StatusCode; the
 // brent_robust() wrapper adds the standard recovery chain (bracket

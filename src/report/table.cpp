@@ -67,8 +67,6 @@ std::string Table::to_csv() const {
   return os.str();
 }
 
-void Table::print(std::ostream& os) const { os << to_string(); }
-
 std::string fmt(double v, int precision) {
   std::ostringstream os;
   os << std::fixed << std::setprecision(precision) << v;

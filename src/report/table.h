@@ -2,7 +2,6 @@
 // harnesses and examples to emit the paper's tables and figure series.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -23,8 +22,6 @@ class Table {
   std::string to_string() const;
   /// Renders as CSV (no escaping beyond quoting commas).
   std::string to_csv() const;
-
-  void print(std::ostream& os) const;
 
  private:
   std::vector<std::string> headers_;

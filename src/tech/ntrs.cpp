@@ -138,8 +138,4 @@ Technology make_ntrs_100nm_alcu() {
   return with_alcu(make_ntrs_100nm_cu(), "NTRS-100nm-AlCu");
 }
 
-std::vector<Technology> paper_technologies() {
-  return {make_ntrs_100nm_cu(), make_ntrs_250nm_cu()};
-}
-
 }  // namespace dsmt::tech

@@ -29,7 +29,4 @@ Technology make_ntrs_100nm_cu();
 Technology make_ntrs_250nm_alcu();
 Technology make_ntrs_100nm_alcu();
 
-/// Both Cu nodes, ascending feature size order {0.1 um, 0.25 um}.
-std::vector<Technology> paper_technologies();
-
 }  // namespace dsmt::tech

@@ -209,20 +209,4 @@ CrossSection2D::Solution CrossSection2D::solve(
   return sol;
 }
 
-numeric::Matrix CrossSection2D::coupling_matrix(const MeshOptions& opts) const {
-  // Each column is an independent unit-power solve; fan the columns out and
-  // assemble the matrix in column order afterwards.
-  const std::size_t n = wires_.size();
-  const auto columns = parallel::parallel_map<std::vector<double>>(
-      n, [&](std::size_t j) {
-        std::vector<double> p(n, 0.0);
-        p[j] = 1.0;  // 1 W/m in wire j
-        return solve(p, opts).wire_avg_rise;
-      });
-  numeric::Matrix theta(n, n, 0.0);
-  for (std::size_t j = 0; j < n; ++j)
-    for (std::size_t i = 0; i < n; ++i) theta(i, j) = columns[j][i];
-  return theta;
-}
-
 }  // namespace dsmt::thermal

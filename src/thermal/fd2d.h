@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "core/status.h"
-#include "numeric/dense.h"
 
 namespace dsmt::thermal {
 
@@ -51,7 +50,7 @@ class CrossSection2D {
   /// Paints a full-width horizontal band (intra-level gap-fill layers).
   void add_band(double y0, double y1, double k_thermal);
   /// Registers a wire (also paints it with the metal conductivity).
-  /// Returns the wire index used by solve()/coupling_matrix().
+  /// Returns the wire index used by solve().
   /// k_metal [W/(m*K)].
   std::size_t add_wire(const RectRegion& r, double k_metal);
 
@@ -70,10 +69,6 @@ class CrossSection2D {
   };
   Solution solve(const std::vector<double>& p_per_len,
                  const MeshOptions& mesh = {}) const;
-
-  /// Coupling matrix Theta[i][j] = average rise of wire i per unit W/m in
-  /// wire j [K*m/W]. Symmetric up to discretization error (reciprocity).
-  numeric::Matrix coupling_matrix(const MeshOptions& mesh = {}) const;
 
  private:
   struct Paint {

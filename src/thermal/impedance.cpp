@@ -62,15 +62,4 @@ SelfHeatingSolution solve_self_heating(
   return sol;
 }
 
-units::CurrentDensity jrms_for_temperature(
-    const materials::Metal& metal, units::Kelvin t_metal, units::Kelvin t_ref,
-    units::Metres w_m, units::Metres t_m,
-    units::ThermalResistancePerLength rth_per_len) {
-  if (t_metal <= t_ref) return units::CurrentDensity{};
-  const double denom = metal.resistivity(t_metal) * t_m * w_m * rth_per_len;
-  if (denom <= 0.0)
-    throw std::domain_error("jrms_for_temperature: degenerate geometry");
-  return A_per_m2(std::sqrt((t_metal - t_ref) / denom));
-}
-
 }  // namespace dsmt::thermal

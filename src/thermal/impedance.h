@@ -68,11 +68,4 @@ SelfHeatingSolution solve_self_heating(
     units::Metres w_m, units::Metres t_m,
     units::ThermalResistancePerLength rth_per_len, units::Kelvin t_ref);
 
-/// Inverse of Eq. 9: the j_rms that produces metal temperature `t_metal`
-/// (resistivity evaluated at t_metal).
-units::CurrentDensity jrms_for_temperature(
-    const materials::Metal& metal, units::Kelvin t_metal, units::Kelvin t_ref,
-    units::Metres w_m, units::Metres t_m,
-    units::ThermalResistancePerLength rth_per_len);
-
 }  // namespace dsmt::thermal

@@ -6,11 +6,25 @@
 #include "em/black.h"
 #include "em/bipolar.h"
 #include "numeric/constants.h"
+#include "selfconsistent/eq13.h"
 
 namespace dsmt::em {
 namespace {
 
 materials::EmParameters alcu_em() { return materials::make_alcu().em; }
+
+/// Black's rule at temperature (paper Eq. 12 solved for j): the j_avg an
+/// AlCu line at t_metal may carry and keep the lifetime of j0 at T_ref.
+/// It is Eq. 13's EM branch, whose square eq13::javg2_em evaluates.
+units::CurrentDensity javg_max(units::CurrentDensity j0,
+                               units::Kelvin t_metal) {
+  selfconsistent::Problem p;
+  p.metal = materials::make_alcu();
+  p.j0 = j0;
+  p.t_ref = kTrefK;
+  return A_per_m2(std::sqrt(selfconsistent::eq13::javg2_em(
+      selfconsistent::eq13::make_terms(p), t_metal.value())));
+}
 
 TEST(Black, TtfScalesAsJToMinusN) {
   const auto em = alcu_em();
@@ -36,17 +50,15 @@ TEST(Black, LifetimeRatioConsistentWithTtf) {
 }
 
 TEST(Black, JavgMaxEqualsJ0AtReference) {
-  const auto em = alcu_em();
   const auto j0 = MA_per_cm2(0.6);
-  EXPECT_NEAR(javg_max_at_temperature(em, j0, kTrefK, kTrefK), j0, 1e-9);
+  EXPECT_NEAR(javg_max(j0, kTrefK), j0, 1e-9);
 }
 
 TEST(Black, JavgMaxFallsWithTemperature) {
-  const auto em = alcu_em();
   const auto j0 = MA_per_cm2(0.6);
   double prev = j0;
   for (double dt : {10.0, 30.0, 60.0, 120.0}) {
-    const double j = javg_max_at_temperature(em, j0, kTrefK, kTrefK + kelvin_delta(dt));
+    const double j = javg_max(j0, kTrefK + kelvin_delta(dt));
     EXPECT_LT(j, prev);
     prev = j;
   }
@@ -58,18 +70,18 @@ TEST(Black, JavgMaxPreservesLifetime) {
   const auto em = alcu_em();
   const auto j0 = MA_per_cm2(0.6);
   const auto t_hot = kTrefK + kelvin_delta(42.0);
-  const auto j_hot = javg_max_at_temperature(em, j0, kTrefK, t_hot);
+  const auto j_hot = javg_max(j0, t_hot);
   EXPECT_NEAR(lifetime_ratio(em, j_hot, t_hot, j0, kTrefK), 1.0, 1e-10);
 }
 
-// Property: temperature_for_javg inverts javg_max_at_temperature.
+// Property: temperature_for_javg inverts Black's rule at temperature.
 class EmInverse : public ::testing::TestWithParam<double> {};
 
 TEST_P(EmInverse, RoundTrip) {
   const auto em = alcu_em();
   const auto j0 = MA_per_cm2(0.6);
   const auto t_hot = kTrefK + kelvin_delta(GetParam());
-  const auto j = javg_max_at_temperature(em, j0, kTrefK, t_hot);
+  const auto j = javg_max(j0, t_hot);
   EXPECT_NEAR(temperature_for_javg(em, j, j0, kTrefK), t_hot, 1e-6 * t_hot);
 }
 

@@ -12,9 +12,18 @@ namespace dsmt::numeric {
 namespace {
 
 TEST(Matrix, IdentityAndMultiply) {
-  auto id = Matrix::identity(3);
+  Matrix id(3, 3);
+  for (std::size_t i = 0; i < 3; ++i) id(i, i) = 1.0;
   std::vector<double> x{1.0, -2.0, 5.0};
   EXPECT_EQ(id.multiply(x), x);
+  // A non-symmetric matrix catches a transposed product.
+  Matrix a(2, 3);
+  a(0, 0) = 1.0;
+  a(0, 1) = 2.0;
+  a(0, 2) = 3.0;
+  a(1, 0) = -1.0;
+  a(1, 2) = 4.0;
+  EXPECT_EQ(a.multiply(x), (std::vector<double>{12.0, 19.0}));
 }
 
 TEST(Matrix, FrobeniusNorm) {

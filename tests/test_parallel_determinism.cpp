@@ -152,12 +152,23 @@ TEST(ParallelDeterminism, CrossSectionCouplingBitIdentical) {
       xs.add_wire({1e-6 + 2e-6 * w, 1.8e-6 + 2e-6 * w, 2.1e-6, 2.4e-6}, 395.0);
     return xs;
   };
+  // 1 W/m in each wire in turn: column j holds every wire's rise, the
+  // coupling Theta(i, j).
   for_thread_counts(
-      [&] { return build().coupling_matrix({}); },
+      [&] {
+        const auto xs = build();
+        std::vector<std::vector<double>> columns;
+        for (std::size_t j = 0; j < 5; ++j) {
+          std::vector<double> p(5, 0.0);
+          p[j] = 1.0;
+          columns.push_back(xs.solve(p).wire_avg_rise);
+        }
+        return columns;
+      },
       [](const auto& ref, const auto& got, const std::string& tag) {
         for (std::size_t i = 0; i < 5; ++i)
           for (std::size_t j = 0; j < 5; ++j)
-            expect_bits_equal(ref(i, j), got(i, j),
+            expect_bits_equal(ref[j][i], got[j][i],
                               tag + " theta(" + std::to_string(i) + "," +
                                   std::to_string(j) + ")");
       });

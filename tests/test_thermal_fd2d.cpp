@@ -40,17 +40,18 @@ TEST(CrossSection2D, LinearityInPower) {
 }
 
 TEST(CrossSection2D, CouplingMatrixReciprocity) {
-  // Two wires side by side: Theta must be symmetric (reciprocity) and the
-  // self terms larger than the coupling terms.
+  // Two wires side by side, 1 W/m in one at a time. heat_j[i] is the
+  // coupling Theta(i, j): it must be symmetric (reciprocity), and the self
+  // terms larger than the coupling terms.
   CrossSection2D cs(um(20), um(6), 1.15);
   cs.add_wire({um(8), um(9), um(2), um(2.5)}, 400.0);
   cs.add_wire({um(11), um(12), um(2), um(2.5)}, 400.0);
-  const auto theta = cs.coupling_matrix(coarse());
-  EXPECT_NEAR(theta(0, 1), theta(1, 0),
-              0.05 * std::max(theta(0, 1), theta(1, 0)));
-  EXPECT_GT(theta(0, 0), theta(0, 1));
-  EXPECT_GT(theta(1, 1), theta(1, 0));
-  EXPECT_GT(theta(0, 1), 0.0);  // heating one wire warms the other
+  const auto heat_0 = cs.solve({1.0, 0.0}, coarse()).wire_avg_rise;
+  const auto heat_1 = cs.solve({0.0, 1.0}, coarse()).wire_avg_rise;
+  EXPECT_NEAR(heat_1[0], heat_0[1], 0.05 * std::max(heat_1[0], heat_0[1]));
+  EXPECT_GT(heat_0[0], heat_1[0]);
+  EXPECT_GT(heat_1[1], heat_0[1]);
+  EXPECT_GT(heat_1[0], 0.0);  // heating one wire warms the other
 }
 
 TEST(CrossSection2D, NarrowLineSpreadingBeatsQuasi1D) {

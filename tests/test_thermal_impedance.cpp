@@ -5,6 +5,7 @@
 
 #include "materials/metal.h"
 #include "numeric/constants.h"
+#include "selfconsistent/eq13.h"
 #include "thermal/impedance.h"
 
 namespace dsmt::thermal {
@@ -84,8 +85,21 @@ TEST(SelfHeating, ZeroCurrentNoRise) {
   EXPECT_DOUBLE_EQ(sol.t_metal, kTrefK);
 }
 
-// Property: jrms_for_temperature inverts the heating relation across a sweep
-// of temperatures.
+/// Eq. 13's thermal branch for a line of width w and thickness t over
+/// R'_th, referenced to T_ref: eq13::jrms2_thermal(terms, T) is the j_rms^2
+/// that heats it to T.
+selfconsistent::eq13::Terms thermal_terms(
+    const materials::Metal& metal, units::Metres w, units::Metres t,
+    units::ThermalResistancePerLength rth) {
+  selfconsistent::Problem p;
+  p.metal = metal;
+  p.t_ref = kTrefK;
+  p.heating_coefficient = selfconsistent::heating_coefficient(w, t, rth);
+  return selfconsistent::eq13::make_terms(p);
+}
+
+// Property: Eq. 13's thermal j_rms inverts the heating relation across a
+// sweep of temperatures.
 class JrmsInverse : public ::testing::TestWithParam<double> {};
 
 TEST_P(JrmsInverse, RoundTrip) {
@@ -93,7 +107,8 @@ TEST_P(JrmsInverse, RoundTrip) {
   const auto t_m = kTrefK + kelvin_delta(GetParam());
   const auto rth = K_m_per_W(0.35);
   const auto w = um(1.5), t = um(0.8);
-  const auto j = jrms_for_temperature(cu, t_m, kTrefK, w, t, rth);
+  const auto j = A_per_m2(std::sqrt(selfconsistent::eq13::jrms2_thermal(
+      thermal_terms(cu, w, t, rth), t_m.value())));
   const double dt = delta_t_at(j, cu, t_m, w, t, rth);
   EXPECT_NEAR(dt, t_m - kTrefK, 1e-9 * (t_m - kTrefK));
 }
@@ -103,10 +118,14 @@ INSTANTIATE_TEST_SUITE_P(TemperatureRises, JrmsInverse,
                                            100.0, 200.0));
 
 TEST(JrmsForTemperature, ZeroAtOrBelowReference) {
-  const auto cu = materials::make_copper();
-  EXPECT_DOUBLE_EQ(jrms_for_temperature(cu, kTrefK, kTrefK, um(1), um(1),
-                                        K_m_per_W(0.3)),
+  // No current heats a line to its reference temperature, and none cools it
+  // below: the thermal j_rms^2 is zero there and negative below.
+  const auto q =
+      thermal_terms(materials::make_copper(), um(1), um(1), K_m_per_W(0.3));
+  EXPECT_DOUBLE_EQ(selfconsistent::eq13::jrms2_thermal(q, kTrefK.value()),
                    0.0);
+  EXPECT_LT(selfconsistent::eq13::jrms2_thermal(q, kTrefK.value() - 10.0),
+            0.0);
 }
 
 }  // namespace

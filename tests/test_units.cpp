@@ -127,14 +127,6 @@ TEST(Units, InteropShimDecaysToDouble) {
   EXPECT_DOUBLE_EQ(ratio.value(), 1.0);
 }
 
-TEST(Units, ToStringCarriesUnitSuffix) {
-  EXPECT_NE(units::to_string(kTrefK).find("K"), std::string::npos);
-  EXPECT_NE(units::to_string(um(2.0)).find("um"), std::string::npos);
-  EXPECT_NE(units::to_string(um(0.8)).find("nm"), std::string::npos);
-  EXPECT_NE(units::to_string(MA_per_cm2(0.6)).find("MA/cm^2"),
-            std::string::npos);
-}
-
 TEST(Units, ReferenceTemperatureMatchesPaper) {
   // The DAC-99 analysis is anchored at a 100 degC chip temperature.
   EXPECT_DOUBLE_EQ(kTrefK.value(), 373.15);

@@ -134,7 +134,7 @@ import sys
 
 # Files that define the constants / unit vocabulary and are allowed to spell
 # the raw literals.
-CONSTANT_HOMES = {"core/units.h", "core/units.cpp", "numeric/constants.h"}
+CONSTANT_HOMES = {"core/units.h", "numeric/constants.h"}
 
 # Physical constants that must be referenced by name, with enough context to
 # not fire on arbitrary numerics (regexes anchored on the literal).

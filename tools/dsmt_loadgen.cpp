@@ -603,25 +603,25 @@ int main(int argc, char** argv) {
       else if (arg == "--tcp") {
         opt.use_tcp = true;
         opt.port =
-            dsmt::core::integer_option<std::uint16_t>("tcp", value("--tcp"), 1);
+            dsmt::core::number_option<std::uint16_t>("tcp", value("--tcp"), 1);
       } else if (arg == "--mode") opt.mode = value("--mode");
       else if (arg == "--crash-storm") opt.mode = "crash-storm";
       else if (arg == "--clients")
-        opt.clients = dsmt::core::integer_option("clients", value("--clients"),
-                                                 1, kMaxInt);
+        opt.clients = dsmt::core::number_option("clients", value("--clients"),
+                                                1, kMaxInt);
       else if (arg == "--requests")
-        opt.requests = dsmt::core::integer_option(
+        opt.requests = dsmt::core::number_option(
             "requests", value("--requests"), 1, kMaxInt);
       else if (arg == "--poison-percent")
-        opt.poison_percent = dsmt::core::integer_option(
+        opt.poison_percent = dsmt::core::number_option(
             "poison-percent", value("--poison-percent"), 1, 100);
       else if (arg == "--file") opt.file = value("--file");
       else if (arg == "--flips")
         opt.flips =
-            dsmt::core::integer_option("flips", value("--flips"), 1, kMaxInt);
+            dsmt::core::number_option("flips", value("--flips"), 1, kMaxInt);
       else if (arg == "--seed")
         opt.seed =
-            dsmt::core::integer_option<std::uint64_t>("seed", value("--seed"));
+            dsmt::core::number_option<std::uint64_t>("seed", value("--seed"));
       else if (arg == "--json") opt.json = true;
       else {
         print_error("unknown argument: " + arg);
