@@ -21,6 +21,17 @@
 // — runs inline and serially. Outer loops get the threads; inner loops stay
 // deterministic, deadlock-free, and free of sibling-block write races.
 //
+// Placement: a region that fans out runs each block on its own CPU. The
+// calling thread's allowed CPUs are read at entry, starting at the one it
+// runs on, and block b is pinned to the b-th of them (wrapping around when
+// there are more blocks than CPUs), so block 0 never migrates and a woken
+// pool worker does not share its waker's CPU. Each block restores its
+// thread's CPU mask when it ends, also when its body throws, so pool tasks
+// outside a region never run pinned. With one allowed CPU, or when a call
+// fails, the blocks run unpinned. The serial path and nested regions place
+// nothing. Placement decides only where a block runs, never which indices
+// it runs, so results stay bit-identical at every thread count.
+//
 // Resilience: the caller's ambient core::RunContext (deadline, cancel token,
 // heartbeat) is snapshotted at entry and installed on every worker for the
 // region's duration, and each block polls it between index items. An
@@ -152,6 +163,13 @@ void parallel_for(std::size_t n, F&& body) {
   if (const core::RunContext* ambient = core::current_run_context())
     run_ctx = std::make_shared<const core::RunContext>(*ambient);
 
+  // Each block runs on its own allowed CPU for the region (see Placement
+  // in the header comment); the indices a block runs do not depend on it.
+  const std::vector<int> cpus = detail::block_cpus();
+  const auto cpu_of = [&cpus](std::size_t b) {
+    return cpus.empty() ? -1 : cpus[b % cpus.size()];
+  };
+
   std::size_t begin = 0;
   std::size_t first_end = 0;
   for (std::size_t b = 0; b < blocks; ++b) {
@@ -160,8 +178,10 @@ void parallel_for(std::size_t n, F&& body) {
     if (b == 0) {
       first_end = end;  // block 0 runs on the calling thread below
     } else {
-      pool_submit([begin, end, &fn, err, latch, run_ctx]() mutable {
+      pool_submit([begin, end, &fn, err, latch, run_ctx,
+                   cpu = cpu_of(b)]() mutable {
         {
+          detail::ScopedPin pin(cpu);
           core::ScopedRunContext scope(run_ctx.get());
           detail::run_block(begin, end, fn, *err);
         }
@@ -184,6 +204,7 @@ void parallel_for(std::size_t n, F&& body) {
     // otherwise the nested region would fan out concurrently with the outer
     // region's worker blocks and the serial-nesting contract would break.
     detail::RegionGuard region;
+    detail::ScopedPin pin(cpu_of(0));
     detail::run_block(0, first_end, fn, *err);
   }
   latch->wait();

@@ -166,6 +166,42 @@ namespace detail {
 RegionGuard::RegionGuard() { ++t_region_depth; }
 RegionGuard::~RegionGuard() { --t_region_depth; }
 
+std::vector<int> block_cpus() {
+  std::vector<int> cpus;
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (::sched_getaffinity(0, sizeof allowed, &allowed) != 0 ||
+      CPU_COUNT(&allowed) < 2)
+    return cpus;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu)
+    if (CPU_ISSET(cpu, &allowed)) cpus.push_back(cpu);
+  const auto here = std::find(cpus.begin(), cpus.end(), ::sched_getcpu());
+  if (here != cpus.end()) std::rotate(cpus.begin(), here, cpus.end());
+  return cpus;
+}
+
+namespace {
+
+/// Saves the calling thread's mask into `saved` and runs the thread on
+/// `cpu` alone; false (nothing to restore) when cpu < 0 or a call fails.
+bool pin_to(int cpu, cpu_set_t& saved) {
+  CPU_ZERO(&saved);
+  if (cpu < 0 || ::sched_getaffinity(0, sizeof saved, &saved) != 0)
+    return false;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  return ::sched_setaffinity(0, sizeof one, &one) == 0;
+}
+
+}  // namespace
+
+ScopedPin::ScopedPin(int cpu) : saved_(), pinned_(pin_to(cpu, saved_)) {}
+
+ScopedPin::~ScopedPin() {
+  if (pinned_) ::sched_setaffinity(0, sizeof saved_, &saved_);
+}
+
 }  // namespace detail
 
 std::size_t queue_high_water() {

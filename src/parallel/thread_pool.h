@@ -1,10 +1,10 @@
 // Fixed-size worker pool behind the deterministic parallel layer.
 //
 // This header and its .cpp are the only places in the library allowed to
-// create threads (lint rule R6 no-raw-thread): every other subsystem gets
-// its concurrency through parallel_for.h, which is what carries the
-// determinism guarantee. The pool itself is a plain task queue — it knows
-// nothing about partitioning or ordering.
+// create threads or place them on CPUs (lint rule R6 no-raw-thread): every
+// other subsystem gets its concurrency through parallel_for.h, which is
+// what carries the determinism guarantee. The pool itself is a plain task
+// queue — it knows nothing about partitioning or ordering.
 //
 // Sizing: the global pool is built lazily on first use with thread_count()
 // threads — the `DSMT_THREADS` environment variable when set (clamped to
@@ -15,9 +15,12 @@
 // the pool is rebuilt when idle.
 #pragma once
 
+#include <sched.h>
+
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 namespace dsmt::parallel {
 
@@ -55,6 +58,28 @@ class RegionGuard {
   ~RegionGuard();
   RegionGuard(const RegionGuard&) = delete;
   RegionGuard& operator=(const RegionGuard&) = delete;
+};
+
+/// The CPUs the blocks of a fan-out region run on: the calling thread's
+/// allowed CPUs in ascending order, rotated to start at the one it runs on
+/// now, so block b runs on cpus[b % size] and block 0 stays where it is.
+/// Empty when fewer than two CPUs are allowed or a call fails; the blocks
+/// then run wherever the scheduler puts them.
+std::vector<int> block_cpus();
+
+/// RAII: runs the calling thread on `cpu` alone until destruction, then
+/// restores the CPU mask the thread had, also when the block throws.
+/// `cpu` < 0, or a failed call, pins nothing.
+class ScopedPin {
+ public:
+  explicit ScopedPin(int cpu);
+  ~ScopedPin();
+  ScopedPin(const ScopedPin&) = delete;
+  ScopedPin& operator=(const ScopedPin&) = delete;
+
+ private:
+  cpu_set_t saved_;    // the thread's mask before the pin
+  const bool pinned_;  // saved_ holds a mask to restore
 };
 
 }  // namespace detail

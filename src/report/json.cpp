@@ -1,10 +1,13 @@
 #include "report/json.h"
 
+#include <array>
 #include <cerrno>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
 
 #include "core/status.h"
@@ -27,6 +30,131 @@ void require_finite(double value) {
     throw_json_error("report/json", "non-finite number in payload "
                      "(use number_or_null for diagnostic fields)",
                      core::StatusCode::kNonFinite);
+}
+
+__extension__ using Uint128 = unsigned __int128;
+
+/// 10^0 .. 10^38, each exact: 10^38 is the largest power of ten below 2^128.
+constexpr std::array<Uint128, 39> kPow10 = [] {
+  std::array<Uint128, 39> p{};
+  p[0] = 1;
+  for (std::size_t i = 1; i < p.size(); ++i) p[i] = p[i - 1] * 10;
+  return p;
+}();
+
+/// Binary exponents floor(log2 |v|) the exact path covers: |v| in
+/// [2^-43, 2^127), about 1.1e-13 to 1.7e38. Below, m * 10^k (k = 9 - the
+/// decimal exponent) would outgrow 128 bits; above, m * 2^e would.
+constexpr int kMinExp2 = -43;
+constexpr int kMaxExp2 = 126;
+
+/// Bytes format_g10 may write: "-d.ddddddddde-308" and its terminator.
+constexpr std::size_t kG10Bytes = 32;
+
+/// Writes a finite `value` into `buf` exactly as snprintf's "%.10g" does
+/// and returns the length: the library's one decision on how a double
+/// prints. An integral |v| < 1e10 prints as its digits alone (except -0,
+/// which keeps its sign). A normal |v| in [2^-43, 2^127) is rounded to ten
+/// significant digits by exact 128-bit integer arithmetic, half to even on
+/// an exact tie, as glibc rounds. Everything else (subnormals, smaller and
+/// larger magnitudes) goes to snprintf itself. std::to_chars is not used
+/// for doubles: its tables' pages cost the socket server measurable
+/// resident memory (DESIGN.md §18).
+std::size_t format_g10(double value, char* buf) {
+  if (std::fabs(value) < 1e10) {
+    const long long whole = static_cast<long long>(value);
+    if (static_cast<double>(whole) == value &&
+        (whole != 0 || !std::signbit(value)))
+      return static_cast<std::size_t>(
+          std::to_chars(buf, buf + kG10Bytes, whole).ptr - buf);
+  }
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof bits);
+  const int biased = static_cast<int>((bits >> 52) & 0x7ff);
+  const int e2 = biased - 1023;
+  if (biased == 0 || e2 < kMinExp2 || e2 > kMaxExp2) {
+    if (value == 0.0) {  // only -0 gets here
+      std::memcpy(buf, "-0", 2);
+      return 2;
+    }
+    return static_cast<std::size_t>(
+        std::snprintf(buf, kG10Bytes, "%.10g", value));
+  }
+
+  // |v| = m * 2^e exactly. x is floor(log10 |v|) or one less (floor of
+  // e2 * log10(2), exact for |e2| <= 2620), so q = floor(|v| * 10^(9 - x))
+  // has ten digits, or eleven when x is one short; q + r/d is that product
+  // exactly.
+  const std::uint64_t m = (bits & ((std::uint64_t{1} << 52) - 1)) |
+                          (std::uint64_t{1} << 52);
+  const int e = e2 - 52;
+  int x = (e2 * 315653) >> 20;
+  Uint128 q = 0;
+  Uint128 r = 0;
+  Uint128 d = 0;
+  if (x <= 9) {  // e2 <= 33, so e < 0
+    const Uint128 a = Uint128{m} * kPow10[static_cast<std::size_t>(9 - x)];
+    d = Uint128{1} << -e;
+    q = a >> -e;
+    r = a & (d - 1);
+  } else if (e >= 0) {
+    const Uint128 a = Uint128{m} << e;
+    d = kPow10[static_cast<std::size_t>(x - 9)];
+    q = a / d;
+    r = a % d;
+  } else {  // 2^34 <= |v| < 2^52: the divisor fits 64 bits
+    const std::uint64_t d64 =
+        static_cast<std::uint64_t>(kPow10[static_cast<std::size_t>(x - 9)])
+        << -e;
+    d = d64;
+    q = m / d64;
+    r = m % d64;
+  }
+  if (q >= kPow10[10]) {  // x was one short: drop a digit into r/d
+    ++x;
+    r += (q % 10) * d;
+    q /= 10;
+    d *= 10;
+  }
+  if (2 * r > d || (2 * r == d && (q & 1) != 0)) ++q;
+  if (q == kPow10[10]) {  // 9.9999999995eX rounds up to 1e(X+1)
+    q = kPow10[9];
+    ++x;
+  }
+
+  char digits[10];
+  auto n = static_cast<std::uint64_t>(q);
+  for (int i = 9; i >= 0; --i) {
+    digits[i] = static_cast<char>('0' + n % 10);
+    n /= 10;
+  }
+  int len = 10;
+  while (digits[len - 1] == '0') --len;  // %g drops trailing zeros
+
+  char* p = buf;
+  if (std::signbit(value)) *p++ = '-';
+  if (x >= -4 && x < 10) {  // %f style with 9 - x decimals
+    if (x >= 0) {
+      for (int i = 0; i <= x; ++i) *p++ = i < len ? digits[i] : '0';
+      if (len > x + 1) *p++ = '.';
+      for (int i = x + 1; i < len; ++i) *p++ = digits[i];
+    } else {
+      *p++ = '0';
+      *p++ = '.';
+      for (int i = 1; i < -x; ++i) *p++ = '0';
+      for (int i = 0; i < len; ++i) *p++ = digits[i];
+    }
+  } else {  // %e style: x is in [-13, -5] or [10, 38], two digits
+    *p++ = digits[0];
+    if (len > 1) *p++ = '.';
+    for (int i = 1; i < len; ++i) *p++ = digits[i];
+    *p++ = 'e';
+    *p++ = x < 0 ? '-' : '+';
+    const int ax = x < 0 ? -x : x;
+    *p++ = static_cast<char>('0' + ax / 10);
+    *p++ = static_cast<char>('0' + ax % 10);
+  }
+  return static_cast<std::size_t>(p - buf);
 }
 
 }  // namespace
@@ -631,20 +759,8 @@ JsonWriter& JsonWriter::string(std::string_view value) {
 
 JsonWriter& JsonWriter::number(double value) {
   require_finite(value);
-  // %.10g prints an integral |v| < 1e10 as its digits alone, which the
-  // table-free integer conversion reproduces exactly; -0 keeps its sign
-  // under %.10g, so it takes the general path. Everything else stays on
-  // snprintf: std::to_chars for doubles pulls in tables whose pages cost
-  // the socket server measurable resident memory (DESIGN.md §18).
-  if (std::fabs(value) < 1e10) {
-    const long long whole = static_cast<long long>(value);
-    if (static_cast<double>(whole) == value &&
-        (whole != 0 || !std::signbit(value)))
-      return integer(whole);
-  }
-  char buf[32];
-  const int n = std::snprintf(buf, sizeof buf, "%.10g", value);
-  out_.append(buf, static_cast<std::size_t>(n));
+  char buf[kG10Bytes];
+  out_.append(buf, format_g10(value, buf));
   return *this;
 }
 

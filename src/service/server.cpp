@@ -293,11 +293,29 @@ std::size_t write_batch_document(
   report::JsonWriter document(bytes, indent);
   document.begin_object().key("responses").begin_array();
   std::size_t failures = 0;
+  // One string per reply of a chunk, kept from chunk to chunk so their
+  // capacity is reused.
+  std::vector<std::string> encoded;
+  // Encoding polls no deadline or cancel token: a caller's interruption
+  // reaches it from serve_batch, after every reply has been written.
+  const core::RunContext uninterruptible;
   server.serve_batch(batch, [&](std::span<Response> replies) {
-    for (const Response& reply : replies) {
-      if (!reply.ok()) ++failures;
+    // Each reply's bytes depend only on the reply, so the chunk is encoded
+    // in parallel and appended in index order. A write_response throw
+    // propagates the lowest index's exception, and nothing of the chunk is
+    // emitted, as with a serial loop.
+    if (encoded.size() < replies.size()) encoded.resize(replies.size());
+    {
+      core::ScopedRunContext scope(uninterruptible);
+      parallel::parallel_for(replies.size(), [&](std::size_t k) {
+        encoded[k].clear();
+        write_response(encoded[k], replies[k], indent, kReplyDepth);
+      });
+    }
+    for (std::size_t k = 0; k < replies.size(); ++k) {
+      if (!replies[k].ok()) ++failures;
       document.item();
-      write_response(bytes, reply, indent, kReplyDepth);
+      bytes += encoded[k];
     }
     emit(bytes);
     bytes.clear();

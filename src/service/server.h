@@ -141,7 +141,8 @@ class Server {
 /// at `indent`: the bytes a report::Json tree of that document dumps to,
 /// with server.service_json() taken after the last reply. The bytes go to
 /// `emit` in pieces, one per chunk of replies, so no tree and no whole
-/// document is ever held. Returns how many replies carry a failure status.
+/// document is ever held; a chunk's replies are encoded in parallel and
+/// appended in index order. Returns how many replies carry a failure status.
 /// An exception (from `emit`, or a batch interruption) leaves the
 /// document unfinished.
 std::size_t write_batch_document(

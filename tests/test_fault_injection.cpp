@@ -72,7 +72,7 @@ TEST(FaultInjection, DisarmedHooksAreExactNoOps) {
 }
 
 TEST(FaultInjection, HooksMatchKernelBySubstringAndIteration) {
-  ScopedFault fault({FaultKind::kPerturbResidual, "numeric/cg", 3, 10.0});
+  ScopedFault fault({FaultKind::kPerturbResidual, "numeric/cg", 3, 10.0, ""});
   ASSERT_TRUE(numeric::fault::armed());
   // Wrong kernel: untouched.
   EXPECT_EQ(numeric::fault::filter_residual("numeric/brent", 5, 1.0), 1.0);
@@ -86,11 +86,12 @@ TEST(FaultInjection, HooksMatchKernelBySubstringAndIteration) {
 
 TEST(FaultInjection, NanAndExhaustionHooks) {
   {
-    ScopedFault fault({FaultKind::kNanResidual, "", 1, 0.0});
+    ScopedFault fault({FaultKind::kNanResidual, "", 1, 0.0, ""});
     EXPECT_TRUE(std::isnan(numeric::fault::filter_residual("any", 1, 0.5)));
   }
   {
-    ScopedFault fault({FaultKind::kExhaustIterations, "numeric/brent", 2, 0.0});
+    ScopedFault fault(
+        {FaultKind::kExhaustIterations, "numeric/brent", 2, 0.0, ""});
     EXPECT_EQ(numeric::fault::clamp_iterations("numeric/brent", 200), 2);
     EXPECT_EQ(numeric::fault::clamp_iterations("numeric/bisect", 200), 200);
   }
@@ -100,7 +101,8 @@ TEST(FaultInjection, NanAndExhaustionHooks) {
 TEST(FaultInjection, BrentRobustFallsBackToBisectionOnExhaustion) {
   // Starve Brent (only Brent) of iterations: the robust wrapper must save
   // the solve through its bisection stage and record both attempts.
-  ScopedFault fault({FaultKind::kExhaustIterations, "numeric/brent", 1, 0.0});
+  ScopedFault fault(
+      {FaultKind::kExhaustIterations, "numeric/brent", 1, 0.0, ""});
   core::SolverDiag diag;
   const auto r = numeric::brent_robust(quadratic, 0.0, 2.0, {}, diag);
   ASSERT_TRUE(r.ok());
@@ -113,7 +115,7 @@ TEST(FaultInjection, BrentRobustFallsBackToBisectionOnExhaustion) {
 }
 
 TEST(FaultInjection, BrentRobustFallsBackToBisectionOnNanResidual) {
-  ScopedFault fault({FaultKind::kNanResidual, "numeric/brent", 1, 0.0});
+  ScopedFault fault({FaultKind::kNanResidual, "numeric/brent", 1, 0.0, ""});
   core::SolverDiag diag;
   const auto r = numeric::brent_robust(quadratic, 0.0, 2.0, {}, diag);
   ASSERT_TRUE(r.ok());
@@ -125,7 +127,7 @@ TEST(FaultInjection, BrentRobustFallsBackToBisectionOnNanResidual) {
 TEST(FaultInjection, BrentRobustReportsWhenEveryStageFails) {
   // Starve Brent and bisection alike: no stage can succeed, and the chain
   // must show every attempt that was made.
-  ScopedFault fault({FaultKind::kExhaustIterations, "numeric/b", 1, 0.0});
+  ScopedFault fault({FaultKind::kExhaustIterations, "numeric/b", 1, 0.0, ""});
   core::SolverDiag diag;
   const auto r = numeric::brent_robust(quadratic, 0.0, 2.0, {}, diag);
   EXPECT_FALSE(r.ok());
@@ -139,7 +141,7 @@ TEST(FaultInjection, CgRobustRecordsWarmRetryOnExhaustion) {
   const auto a = laplacian_1d(64);
   const std::vector<double> b(64, 1.0);
   std::vector<double> x(64, 0.0);
-  ScopedFault fault({FaultKind::kExhaustIterations, "numeric/cg", 2, 0.0});
+  ScopedFault fault({FaultKind::kExhaustIterations, "numeric/cg", 2, 0.0, ""});
   core::SolverDiag diag;
   const auto r = numeric::conjugate_gradient_robust(a, b, x, {}, diag);
   // The retry is clamped by the same fault, so the solve stays exhausted —
@@ -154,7 +156,7 @@ TEST(FaultInjection, CgRobustRecordsColdRestartOnNanResidual) {
   const auto a = laplacian_1d(64);
   const std::vector<double> b(64, 1.0);
   std::vector<double> x(64, 0.0);
-  ScopedFault fault({FaultKind::kNanResidual, "numeric/cg", 1, 0.0});
+  ScopedFault fault({FaultKind::kNanResidual, "numeric/cg", 1, 0.0, ""});
   core::SolverDiag diag;
   const auto r = numeric::conjugate_gradient_robust(a, b, x, {}, diag);
   EXPECT_FALSE(r.ok());
@@ -171,7 +173,7 @@ TEST(FaultInjection, Fd2dSolutionCarriesDiagUnderCgFault) {
   thermal::MeshOptions mesh;
   mesh.h_min = 0.05e-6;
   mesh.h_max = 0.5e-6;
-  ScopedFault fault({FaultKind::kExhaustIterations, "numeric/cg", 3, 0.0});
+  ScopedFault fault({FaultKind::kExhaustIterations, "numeric/cg", 3, 0.0, ""});
   const auto sol = cs.solve({1.0}, mesh);
   EXPECT_FALSE(sol.converged);
   EXPECT_FALSE(sol.diag.ok());
@@ -179,7 +181,8 @@ TEST(FaultInjection, Fd2dSolutionCarriesDiagUnderCgFault) {
 }
 
 TEST(FaultInjection, SelfconsistentSolveRecoversUnderBrentFault) {
-  ScopedFault fault({FaultKind::kExhaustIterations, "numeric/brent", 1, 0.0});
+  ScopedFault fault(
+      {FaultKind::kExhaustIterations, "numeric/brent", 1, 0.0, ""});
   const auto sol = selfconsistent::solve(make_problem());
   EXPECT_TRUE(sol.converged);
   EXPECT_GT(sol.j_peak, 0.0);
@@ -189,7 +192,7 @@ TEST(FaultInjection, SelfconsistentSolveRecoversUnderBrentFault) {
 }
 
 TEST(FaultInjection, SelfconsistentSolveThrowsWhenRecoveryExhausted) {
-  ScopedFault fault({FaultKind::kExhaustIterations, "numeric/b", 1, 0.0});
+  ScopedFault fault({FaultKind::kExhaustIterations, "numeric/b", 1, 0.0, ""});
   try {
     (void)selfconsistent::solve(make_problem());
     FAIL() << "expected SolveError";
@@ -203,7 +206,8 @@ TEST(FaultInjection, SelfconsistentSolveThrowsWhenRecoveryExhausted) {
 TEST(FaultInjection, EngineThermalLimitRecoversUnderBrentFault) {
   core::DesignRuleEngine eng(tech::make_ntrs_250nm_cu(), MA_per_cm2(0.6),
                              fast_options());
-  ScopedFault fault({FaultKind::kExhaustIterations, "numeric/brent", 1, 0.0});
+  ScopedFault fault(
+      {FaultKind::kExhaustIterations, "numeric/brent", 1, 0.0, ""});
   const auto sol = eng.thermal_limit(6, materials::make_oxide(), 0.1);
   EXPECT_TRUE(sol.converged);
   EXPECT_GT(sol.j_peak, 0.0);
@@ -213,7 +217,7 @@ TEST(FaultInjection, EngineThermalLimitRecoversUnderBrentFault) {
 TEST(FaultInjection, EngineThermalLimitThrowsWithContextWhenExhausted) {
   core::DesignRuleEngine eng(tech::make_ntrs_250nm_cu(), MA_per_cm2(0.6),
                              fast_options());
-  ScopedFault fault({FaultKind::kExhaustIterations, "numeric/b", 1, 0.0});
+  ScopedFault fault({FaultKind::kExhaustIterations, "numeric/b", 1, 0.0, ""});
   try {
     (void)eng.thermal_limit(6, materials::make_oxide(), 0.1);
     FAIL() << "expected SolveError";
@@ -227,7 +231,7 @@ TEST(FaultInjection, EngineThermalLimitThrowsWithContextWhenExhausted) {
 TEST(FaultInjection, EngineDesignRuleTableThrowsNotSilent) {
   core::DesignRuleEngine eng(tech::make_ntrs_250nm_cu(), MA_per_cm2(0.6),
                              fast_options());
-  ScopedFault fault({FaultKind::kExhaustIterations, "numeric/b", 1, 0.0});
+  ScopedFault fault({FaultKind::kExhaustIterations, "numeric/b", 1, 0.0, ""});
   EXPECT_THROW((void)eng.design_rule_table({6}, {materials::make_oxide()}),
                SolveError);
 }
@@ -235,7 +239,7 @@ TEST(FaultInjection, EngineDesignRuleTableThrowsNotSilent) {
 TEST(FaultInjection, EngineCheckLayerThrowsWithContextWhenExhausted) {
   core::DesignRuleEngine eng(tech::make_ntrs_250nm_cu(), MA_per_cm2(0.6),
                              fast_options());
-  ScopedFault fault({FaultKind::kExhaustIterations, "numeric/b", 1, 0.0});
+  ScopedFault fault({FaultKind::kExhaustIterations, "numeric/b", 1, 0.0, ""});
   try {
     (void)eng.check_layer(6, 4.0, materials::make_oxide());
     FAIL() << "expected SolveError";
@@ -252,7 +256,7 @@ TEST(FaultInjection, EsdScreenStaysValidOrThrowsUnderGlobalFault) {
   // valid assessment, never a poisoned one.
   core::DesignRuleEngine eng(tech::make_ntrs_250nm_cu(), MA_per_cm2(0.6),
                              fast_options());
-  ScopedFault fault({FaultKind::kExhaustIterations, "", 1, 0.0});
+  ScopedFault fault({FaultKind::kExhaustIterations, "", 1, 0.0, ""});
   try {
     const auto a = eng.esd_screen(6, 2000.0, materials::make_oxide());
     EXPECT_TRUE(std::isfinite(a.peak_temperature));
@@ -268,8 +272,8 @@ TEST(FaultInjection, ElectrothermalFixedPointThrowsWhenStarved) {
   // the engine must refuse to hand back the unconverged iterate.
   core::DesignRuleEngine eng(tech::make_ntrs_250nm_cu(), MA_per_cm2(0.6),
                              fast_options());
-  ScopedFault fault(
-      {FaultKind::kExhaustIterations, "core/engine.electrothermal", 1, 0.0});
+  ScopedFault fault({FaultKind::kExhaustIterations,
+                     "core/engine.electrothermal", 1, 0.0, ""});
   try {
     (void)eng.check_layer_electrothermal(6, 4.0, materials::make_oxide());
     FAIL() << "expected SolveError";
@@ -283,7 +287,7 @@ TEST(FaultInjection, ElectrothermalFixedPointThrowsWhenStarved) {
 
 TEST(FaultInjection, ScopedFaultDisarmsOnScopeExit) {
   {
-    ScopedFault fault({FaultKind::kNanResidual, "", 1, 0.0});
+    ScopedFault fault({FaultKind::kNanResidual, "", 1, 0.0, ""});
     ASSERT_TRUE(numeric::fault::armed());
   }
   ASSERT_FALSE(numeric::fault::armed());

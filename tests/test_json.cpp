@@ -173,9 +173,11 @@ TEST(JsonParse, DumpParseRoundTripTree) {
 
 TEST(Json, NumbersPrintExactlyAsSnprintf) {
   // Json::dump formats a double through JsonWriter::number, whose integral
-  // fast path must be invisible: %.10g is the contract. Seeded draws over
-  // random bit patterns, scaled mantissas, integers across +-1e10, and the
-  // fast path's edges with their neighbours.
+  // shortcut and exact integer path must be invisible: %.10g is the
+  // contract. Seeded draws over random bit patterns, scaled mantissas,
+  // integers across +-1e10, and the integral shortcut's edges with their
+  // neighbours; then exact ties, carries, powers of ten, the exact path's
+  // range edges, -0, subnormals and DBL_MAX.
   std::uint64_t state = 0x5eed;
   const auto next = [&state] {
     std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
@@ -189,6 +191,19 @@ TEST(Json, NumbersPrintExactlyAsSnprintf) {
   constexpr int kDraws = 1000000;
   int differing = 0;
   char want[40];
+  const auto check = [&](double v) {
+    std::snprintf(want, sizeof want, "%.10g", v);
+    if (Json::number(v).dump(-1) != want && ++differing <= 3)
+      ADD_FAILURE() << "value " << want << " dumps as "
+                    << Json::number(v).dump(-1);
+  };
+  // v and its neighbours one ulp away on either side, each with both signs.
+  const auto check_around = [&](double v) {
+    for (double w : {std::nextafter(v, 0.0), v, std::nextafter(v, DBL_MAX)}) {
+      check(w);
+      check(-w);
+    }
+  };
   for (int i = 0; i < kDraws; ++i) {
     const std::uint64_t bits = next();
     double v = 0.0;
@@ -211,11 +226,37 @@ TEST(Json, NumbersPrintExactlyAsSnprintf) {
         if (next() & 1) v = e;
       }
     }
-    std::snprintf(want, sizeof want, "%.10g", v);
-    if (Json::number(v).dump(-1) != want && ++differing <= 3)
-      ADD_FAILURE() << "value " << want << " dumps as "
-                    << Json::number(v).dump(-1);
+    check(v);
   }
+
+  // Exact ties at the eleventh significant digit, which round half to
+  // even: ten-digit integers plus one half, and eleven-digit odd multiples
+  // of 5, each scaled by 2^s (halving keeps many of them ties).
+  constexpr int kTies = 20000;
+  for (int i = 0; i < kTies; ++i) {
+    const int s = static_cast<int>(next() % 121) - 60;
+    const auto ten = static_cast<double>(1000000000 + next() % 9000000000);
+    check(std::ldexp(ten + 0.5, s));
+    const auto eleven =
+        static_cast<double>((1000000000 + next() % 9000000000) * 10 + 5);
+    check(std::ldexp(eleven, s));
+  }
+  char text[40];
+  for (int x = -20; x <= 40; ++x) {
+    // Carries (9.9999999995eX rounds up to 1e(X+1)), their near misses,
+    // and the powers of ten themselves.
+    for (const char* pattern : {"9.9999999995e%d", "9.99999999949999e%d",
+                                "1e%d"}) {
+      std::snprintf(text, sizeof text, pattern, x);
+      check_around(std::strtod(text, nullptr));
+    }
+  }
+  // The exact path covers [2^-43, 2^127); the integral shortcut |v| < 1e10.
+  for (double edge : {0x1p-43, 0x1p127, 0x1p53, 1e10, 1e10 - 1, 1e-13})
+    check_around(edge);
+  // snprintf's own territory: zeros, subnormals and the extremes.
+  for (double edge : {0.0, 5e-324, DBL_MIN / 2, DBL_MIN, DBL_MAX})
+    check_around(edge);
   EXPECT_EQ(differing, 0);
 }
 

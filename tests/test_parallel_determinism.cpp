@@ -3,9 +3,17 @@
 // and a solver failure inside a worker must surface on the caller with its
 // SolverDiag chain intact — parallelization changes wall-clock, nothing else.
 #include <gtest/gtest.h>
+#include <sched.h>
 
+#include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
+#include <mutex>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -198,7 +206,7 @@ TEST(ParallelDeterminism, FaultInSweepCellSurfacesAcrossThreads) {
   parallel::set_thread_count(8);
   // "numeric/b" poisons Brent AND its bisection fallback — the recovery
   // chain exhausts, so the failure must escape the worker as a SolveError.
-  ScopedFault fault({FaultKind::kNanResidual, "numeric/b", 1, 0.0});
+  ScopedFault fault({FaultKind::kNanResidual, "numeric/b", 1, 0.0, ""});
   try {
     (void)selfconsistent::generate_design_rule_table(table_spec());
     FAIL() << "expected SolveError from the poisoned sweep";
@@ -221,7 +229,7 @@ TEST(ParallelDeterminism, FirstFailureIsDeterministic) {
   std::string serial_what, parallel_what;
   {
     parallel::set_thread_count(1);
-    ScopedFault fault({FaultKind::kExhaustIterations, "numeric/b", 1, 0.0});
+    ScopedFault fault({FaultKind::kExhaustIterations, "numeric/b", 1, 0.0, ""});
     try {
       (void)selfconsistent::generate_design_rule_table(table_spec());
     } catch (const SolveError& e) {
@@ -230,7 +238,7 @@ TEST(ParallelDeterminism, FirstFailureIsDeterministic) {
   }
   for (int repeat = 0; repeat < 3; ++repeat) {
     parallel::set_thread_count(8);
-    ScopedFault fault({FaultKind::kExhaustIterations, "numeric/b", 1, 0.0});
+    ScopedFault fault({FaultKind::kExhaustIterations, "numeric/b", 1, 0.0, ""});
     try {
       (void)selfconsistent::generate_design_rule_table(table_spec());
       FAIL() << "expected SolveError";
@@ -293,6 +301,106 @@ TEST(ParallelDeterminism, NestedParallelForRunsInline) {
     parallel::parallel_for(16, [&](std::size_t) { sums[i] += 1; });
   });
   for (int s : sums) EXPECT_EQ(s, 16);
+  parallel::set_thread_count(0);
+}
+
+/// The calling thread's CPU mask.
+cpu_set_t own_cpus() {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  EXPECT_EQ(::sched_getaffinity(0, sizeof mask, &mask), 0);
+  return mask;
+}
+
+/// `mask` as a list of CPUs ("0,1,3").
+std::string cpu_list(const cpu_set_t& mask) {
+  std::string out;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (!CPU_ISSET(cpu, &mask)) continue;
+    if (!out.empty()) out += ',';
+    out += std::to_string(cpu);
+  }
+  return out;
+}
+
+/// The CPU masks of the pool's `workers` workers, sorted: one task per
+/// worker, each held until every worker has taken one.
+std::vector<std::string> pool_worker_cpus(std::size_t workers) {
+  struct Meeting {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::size_t arrived = 0;
+    std::size_t done = 0;
+    std::vector<std::string> masks;
+  };
+  auto meeting = std::make_shared<Meeting>();
+  for (std::size_t w = 0; w < workers; ++w) {
+    parallel::pool_submit([meeting, workers] {
+      const std::string mask = cpu_list(own_cpus());
+      std::unique_lock<std::mutex> lock(meeting->mu);
+      meeting->masks.push_back(mask);
+      ++meeting->arrived;
+      meeting->cv.notify_all();
+      meeting->cv.wait(lock, [&] { return meeting->arrived == workers; });
+      ++meeting->done;
+      meeting->cv.notify_all();
+    });
+  }
+  std::unique_lock<std::mutex> lock(meeting->mu);
+  meeting->cv.wait(lock, [&] { return meeting->done == workers; });
+  std::sort(meeting->masks.begin(), meeting->masks.end());
+  return meeting->masks;
+}
+
+bool allows_two_cpus() {
+  const cpu_set_t mask = own_cpus();
+  return CPU_COUNT(&mask) >= 2;
+}
+
+// At two threads, the caller's block and the pool worker's block each run
+// on one CPU from start to end, and not on the same one: a woken worker
+// does not share its waker's CPU.
+TEST(ParallelFor, BlocksRunOnTheirOwnCpus) {
+  if (!allows_two_cpus()) GTEST_SKIP() << "fewer than two allowed CPUs";
+  parallel::set_thread_count(2);
+  const std::string caller = cpu_list(own_cpus());
+  std::vector<std::set<int>> seen(2);
+  parallel::parallel_for(seen.size(), [&](std::size_t b) {
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(20);
+    while (std::chrono::steady_clock::now() < until)
+      seen[b].insert(::sched_getcpu());
+  });
+  parallel::set_thread_count(0);
+  EXPECT_EQ(cpu_list(own_cpus()), caller) << "the caller stayed pinned";
+  ASSERT_EQ(seen[0].size(), 1u) << "block 0 moved between CPUs";
+  ASSERT_EQ(seen[1].size(), 1u) << "block 1 moved between CPUs";
+  EXPECT_NE(*seen[0].begin(), *seen[1].begin());
+}
+
+// Placement lasts only for the region: afterwards the caller and every
+// pool worker have the CPU masks they had before, also when the region's
+// body throws.
+TEST(ParallelFor, RestoresThreadAffinity) {
+  if (!allows_two_cpus()) GTEST_SKIP() << "fewer than two allowed CPUs";
+  parallel::set_thread_count(2);
+  const std::string caller = cpu_list(own_cpus());
+  const std::vector<std::string> workers = pool_worker_cpus(2);
+
+  std::vector<int> cpus_in_block(64, 0);
+  parallel::parallel_for(cpus_in_block.size(), [&](std::size_t i) {
+    const cpu_set_t mask = own_cpus();
+    cpus_in_block[i] = CPU_COUNT(&mask);
+  });
+  for (int count : cpus_in_block) EXPECT_EQ(count, 1) << "a block ran unpinned";
+  EXPECT_EQ(cpu_list(own_cpus()), caller) << "after a clean region";
+  EXPECT_EQ(pool_worker_cpus(2), workers) << "after a clean region";
+
+  EXPECT_THROW(parallel::parallel_for(
+                   64, [](std::size_t) { throw std::runtime_error("body"); }),
+               std::runtime_error);
+  EXPECT_EQ(cpu_list(own_cpus()), caller) << "after a region that threw";
+  EXPECT_EQ(pool_worker_cpus(2), workers) << "after a region that threw";
   parallel::set_thread_count(0);
 }
 

@@ -73,9 +73,10 @@ void ExpectTechfileError(const std::string& text, int line,
     EXPECT_NE(what.find("techfile:" + std::to_string(line) + ":"),
               std::string::npos)
         << "wrong line number in: " << what;
-    if (!fragment.empty())
+    if (!fragment.empty()) {
       EXPECT_NE(what.find(fragment), std::string::npos)
           << "missing '" << fragment << "' in: " << what;
+    }
   }
 }
 
@@ -233,7 +234,9 @@ TEST(Robustness, SelfHeatingRunawayIsFlaggedNotInf) {
     const auto sol = thermal::solve_self_heating(MA_per_cm2(j_ma), cu, um(1),
                                                  um(1), K_m_per_W(1.0), kTrefK);
     EXPECT_TRUE(std::isfinite(sol.t_metal));
-    if (sol.runaway) EXPECT_DOUBLE_EQ(sol.t_metal, cu.t_melt);
+    if (sol.runaway) {
+      EXPECT_DOUBLE_EQ(sol.t_metal, cu.t_melt);
+    }
   }
 }
 

@@ -25,7 +25,14 @@ except that R16 also covers examples/):
                   only under src/parallel/ — everywhere else must go through
                   parallel::parallel_for / parallel_map so the determinism
                   contract (static partitioning, ordered reduction, first-
-                  error propagation) cannot be bypassed.
+                  error propagation) cannot be bypassed. So may the CPU
+                  placement calls (sched_setaffinity, sched_getaffinity,
+                  pthread_setaffinity_np, pthread_getaffinity_np,
+                  sched_getcpu): parallel_for pins each block of a fan-out
+                  region and restores the thread's mask after it, and a pin
+                  made anywhere else would outlive its caller on a pool
+                  worker. Member calls (`x.sched_getcpu(`) and longer
+                  identifiers (`my_sched_getcpu(`) do not fire.
   R7 wall-clock   Wall-clock reads (`std::chrono::system_clock`, `time()`,
                   `std::time()`) are banned from src/: deadlines and
                   timeouts must use std::chrono::steady_clock via
@@ -170,6 +177,12 @@ CONVERGED_READ_RE = re.compile(r"\.converged\b(?!\s*=(?!=))")
 THREAD_HOME_PREFIX = "parallel/"
 
 RAW_THREAD_RE = re.compile(r"std::(?:jthread|thread|async)\b")
+
+# CPU placement calls, fenced with thread creation: only parallel_for pins
+# threads, and only for the duration of one block.
+CPU_PLACEMENT_RE = re.compile(
+    r"(?<![\w.>])(?:sched_setaffinity|sched_getaffinity|"
+    r"pthread_setaffinity_np|pthread_getaffinity_np|sched_getcpu)\s*\(")
 
 # Wall-clock reads. The bare `time(` alternative must not match member or
 # suffixed calls (`res.time()`, `->time()`, `crossing_time(`), hence the
@@ -444,7 +457,8 @@ def lint_file(path: pathlib.Path, rel: str, errors: list):
                               f"'.converged' read outside the status layer — "
                               f"use .ok() or the SolverDiag chain")
 
-    # R6: raw threading primitives only under src/parallel/.
+    # R6: raw threading primitives and CPU placement only under
+    # src/parallel/.
     if not rel.startswith(THREAD_HOME_PREFIX):
         for i, raw in enumerate(lines):
             line = strip_comments(raw)
@@ -454,6 +468,12 @@ def lint_file(path: pathlib.Path, rel: str, errors: list):
                               f"'{m.group(0)}' outside src/parallel/ — use "
                               f"parallel::parallel_for / parallel_map to keep "
                               f"results thread-count invariant")
+            m = CPU_PLACEMENT_RE.search(line)
+            if m:
+                errors.append(f"{rel}:{i + 1}: [no-raw-thread] CPU "
+                              f"placement '{m.group(0).rstrip(' (')}' outside "
+                              f"src/parallel/ — parallel_for places the blocks "
+                              f"of a region and restores each thread's mask")
 
     # R7: no wall-clock reads in library code — monotonic budgets only.
     for i, raw in enumerate(lines):
@@ -808,6 +828,48 @@ class Tally {
 };
 
 }  // namespace dsmt::service
+"""
+
+SELF_TEST_BAD_PLACEMENT = """\
+// Every CPU placement call R6 fences to src/parallel/, once each.
+#pragma once
+
+#include <pthread.h>
+#include <sched.h>
+
+namespace dsmt::demo {
+
+inline int where() { return ::sched_getcpu(); }
+
+inline void pin(cpu_set_t& saved, const cpu_set_t& one) {
+  sched_getaffinity(0, sizeof saved, &saved);
+  ::sched_setaffinity(0, sizeof one, &one);
+}
+
+inline void pin_thread(pthread_t t, cpu_set_t& saved, const cpu_set_t& one) {
+  pthread_getaffinity_np(t, sizeof saved, &saved);
+  pthread_setaffinity_np (t, sizeof one, &one);
+}
+
+}  // namespace dsmt::demo
+"""
+
+SELF_TEST_GOOD_PLACEMENT = """\
+// Look-alikes R6's placement fence must stay quiet on: comments, member
+// calls and longer identifiers.
+#pragma once
+
+namespace dsmt::demo {
+
+// sched_setaffinity(0, ...) is parallel_for's job.
+inline int look_alikes(const Topology& topo, const Topology* other) {
+  topo.sched_getcpu();
+  other->sched_setaffinity(1);
+  my_sched_getcpu();
+  return pthread_getaffinity_np_count(2);
+}
+
+}  // namespace dsmt::demo
 """
 
 SELF_TEST_BAD_SYSCALL = """\
@@ -1251,6 +1313,38 @@ def self_test() -> int:
         if errors:
             print("self-test FAILED: thread_annotations.h home should be "
                   "exempt:")
+            for e in errors:
+                print("  " + e)
+            return 1
+
+        # R6 fences every CPU placement call out of the library ...
+        bad_place = root / "src" / "demo" / "bad_place.h"
+        bad_place.write_text(SELF_TEST_BAD_PLACEMENT)
+        good_place = root / "src" / "demo" / "good_place.h"
+        good_place.write_text(SELF_TEST_GOOD_PLACEMENT)
+        errors = []
+        lint_file(bad_place, "demo/bad_place.h", errors)
+        place = [e for e in errors if "[no-raw-thread] CPU placement" in e]
+        if len(place) != 5 or len(errors) != 5:
+            print(f"self-test FAILED: bad_place.h raised {len(place)} CPU "
+                  f"placement violations, expected 5:")
+            for e in errors:
+                print("  " + e)
+            return 1
+
+        # ... allows them under src/parallel/, their home ...
+        errors = []
+        lint_file(bad_place, "parallel/placement.h", errors)
+        if any("[no-raw-thread]" in e for e in errors):
+            print("self-test FAILED: CPU placement fired inside "
+                  "src/parallel/")
+            return 1
+
+        # ... and stays quiet on comments, member calls and longer names.
+        errors = []
+        lint_file(good_place, "demo/good_place.h", errors)
+        if errors:
+            print("self-test FAILED: good_place.h should be clean:")
             for e in errors:
                 print("  " + e)
             return 1
